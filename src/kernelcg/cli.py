@@ -13,17 +13,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import InvalidInput, NotReached, NumericalFailure
-from .evaluation import error_norm
 from .harness import (
-    HOLDOUT_MAX_ITER,
     ExperimentConfig,
     canonical_json,
     compare_solvers,
     config_hash,
     derive_seed,
+    fit_replicate,
     run_experiment,
     write_compare_csv,
     write_compare_json,
@@ -31,13 +28,7 @@ from .harness import (
     write_rows_csv,
     write_summary_json,
     write_text_atomic,
-    _experiment_context,
-    _stop_by_discrepancy,
-    _threshold_for,
 )
-from .kernels import build_kernel_matrix
-from .solvers import cg_fit
-from .stopping import holdout_select
 from .synth import draw_sample, model_to_dict, sample_to_dict
 
 EXIT_OK = 0
@@ -119,29 +110,22 @@ def _print_report(args, report) -> None:
         _emit(args, f"FAILED {f}")
 
 
-def _cmd_rates(args, cfg: ExperimentConfig) -> int:
-    report = run_experiment(cfg)
-    write_rows_csv(report, os.path.join(args.out, "rates.csv"))
-    write_summary_json(report, os.path.join(args.out, "rate_report.json"))
-    write_plot_tsv(report, args.out)
-    _print_report(args, report)
-    if report.incomplete:
-        print(
-            "partial results written; failures: " + "; ".join(report.failures),
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK
+#: (rows CSV, summary JSON) written by each rate-sweep subcommand.
+_SWEEP_ARTIFACTS = {
+    "rates": ("rates.csv", "rate_report.json"),
+    "holdout": ("holdout.csv", "holdout_report.json"),
+}
 
 
-def _cmd_holdout(args, cfg: ExperimentConfig) -> int:
-    if cfg.stopping != "holdout":
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    if args.subcommand == "holdout" and cfg.stopping != "holdout":
         cfg = dataclasses.replace(
             cfg, stopping="holdout", holdout_fraction=cfg.holdout_fraction or 0.2
         )
+    csv_name, summary_name = _SWEEP_ARTIFACTS[args.subcommand]
     report = run_experiment(cfg)
-    write_rows_csv(report, os.path.join(args.out, "holdout.csv"))
-    write_summary_json(report, os.path.join(args.out, "holdout_report.json"))
+    write_rows_csv(report, os.path.join(args.out, csv_name))
+    write_summary_json(report, os.path.join(args.out, summary_name))
     write_plot_tsv(report, args.out)
     _print_report(args, report)
     if report.incomplete:
@@ -168,54 +152,25 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_fit(args, cfg: ExperimentConfig) -> int:
-    model, n_ref, trace_k = _experiment_context(cfg)
-    n = cfg.n_grid[0]
-    seed = derive_seed(cfg.master_seed, n, 0)
-    outer = cfg.regime == "outer"
-    sample = draw_sample(model, n, unlabeled=outer, seed=seed)
-    if outer:
-        x = np.concatenate([sample.X_labeled, sample.X_unlabeled])
-        y = sample.Y_padded
-    else:
-        x, y = sample.X_labeled, sample.Y
-    if cfg.stopping == "discrepancy":
-        omega = _threshold_for(cfg, model, n, n_ref, trace_k)
-        trace, m_hat = _stop_by_discrepancy(
-            build_kernel_matrix(x, model.kernel), y, omega, x.size
-        )
-        anchor = x
-    else:
-        n_val = max(1, round(cfg.holdout_fraction * n))
-        x_train, x_val = x[: n - n_val], x[n - n_val:]
-        y_train, y_val = y[: n - n_val], y[n - n_val:]
-        K = build_kernel_matrix(x_train, model.kernel)
-        trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
-        m_hat = holdout_select(
-            trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M
-        )
-        omega = None
-        anchor = x_train
-    errors = {
-        repr(theta): error_norm(trace.alphas[m_hat], anchor, model, theta).error_value
-        ** 2
-        for theta in cfg.theta_list
-    }
+    model = cfg.model()
+    fit = fit_replicate(cfg, model, cfg.n_grid[0], 0)
+    errors = {repr(theta): fit.squared_error(model, theta) for theta in cfg.theta_list}
     payload = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
-        "seed": seed,
-        "n": int(n),
-        "m_hat": int(m_hat),
-        "omega": omega,
-        "residual_norms": [float(v) for v in trace.residual_norms],
+        "seed": fit.seed,
+        "n": int(fit.n),
+        "m_hat": int(fit.m_hat),
+        "omega": fit.omega,
+        "residual_norms": [float(v) for v in fit.trace.residual_norms],
         "errors": errors,
     }
     write_text_atomic(os.path.join(args.out, "fit.json"), canonical_json(payload))
-    omega_text = "holdout" if omega is None else f"{omega:.6g}"
-    _emit(args, f"n={n} seed={seed} omega={omega_text} m_hat={m_hat}")
+    omega_text = "holdout" if fit.omega is None else f"{fit.omega:.6g}"
+    _emit(args, f"n={fit.n} seed={fit.seed} omega={omega_text} m_hat={fit.m_hat}")
     _emit(
         args,
-        "residuals: " + " ".join(f"{v:.6g}" for v in trace.residual_norms),
+        "residuals: " + " ".join(f"{v:.6g}" for v in fit.trace.residual_norms),
     )
     return EXIT_OK
 
@@ -248,8 +203,8 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 _COMMANDS = {
     "fit": _cmd_fit,
     "simulate": _cmd_simulate,
-    "rates": _cmd_rates,
-    "holdout": _cmd_holdout,
+    "rates": _cmd_sweep,
+    "holdout": _cmd_sweep,
     "compare": _cmd_compare,
 }
 
@@ -271,7 +226,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(
             f"numerical failure at iteration {exc.iteration} "
-            f"(master_seed={getattr(args, 'seed', None) or 'config'}): {exc}",
+            f"(master_seed={cfg.master_seed}): {exc}",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL

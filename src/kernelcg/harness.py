@@ -17,13 +17,13 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput, NotReached, NumericalFailure
 from .evaluation import ERROR_FLOOR, error_norm
-from .kernels import build_kernel_matrix
+from .kernels import KernelMatrix, build_kernel_matrix
 from .solvers import CgTrace, cg_fit, ridge_fit
 from .stopping import (
     ThresholdParams,
@@ -348,14 +348,9 @@ def fit_loglog_slope(ns, errors) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=resid)
 
 
-def _experiment_context(cfg: ExperimentConfig):
-    model = cfg.model()
+def _threshold_for(cfg: ExperimentConfig, model, n: int) -> float:
     n_ref = float(np.exp(np.mean(np.log(np.asarray(cfg.n_grid, dtype=float)))))
     trace_k = float(np.sum(model.eigenvalues))
-    return model, n_ref, trace_k
-
-
-def _threshold_for(cfg: ExperimentConfig, model, n: int, n_ref: float, trace_k: float) -> float:
     params = ThresholdParams(
         M=model.noise.M,
         kappa=model.kappa,
@@ -387,8 +382,40 @@ def _stop_by_discrepancy(K, y, omega: float, n_rows: int) -> tuple[CgTrace, int]
             max_iter = min(2 * max_iter, n_rows)
 
 
-def _run_one(cfg: ExperimentConfig, model, n: int, rep: int, n_ref: float, trace_k: float):
-    """One replicate: one RunRecord per theta, all sharing the same stop index."""
+@dataclass(frozen=True)
+class ReplicateFit:
+    """One seeded replicate: its design, CG trace and stop index.
+
+    ``points``, ``y`` and ``K`` are the system CG ran on: labeled plus
+    unlabeled points with padded responses in the outer regime, only the
+    training part of the split under hold-out stopping. ``omega`` is the
+    discrepancy threshold, None under hold-out stopping.
+    """
+
+    n: int
+    rep: int
+    seed: int
+    points: np.ndarray
+    y: np.ndarray
+    K: KernelMatrix
+    trace: CgTrace
+    m_hat: int
+    omega: float | None
+
+    def squared_error(self, model: MercerModel, theta: float) -> float:
+        """Squared theta-norm distance of the stopped iterate from the target."""
+        alpha = self.trace.alphas[self.m_hat]
+        err = error_norm(alpha, self.points, model, theta).error_value
+        return err * err
+
+
+def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
+    """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
+
+    Raises InvalidInput when the hold-out split leaves no training data,
+    NotReached when the discrepancy threshold is never met, and
+    NumericalFailure from the solver.
+    """
     seed = derive_seed(cfg.master_seed, n, rep)
     outer = cfg.regime == "outer"
     sample = draw_sample(model, n, unlabeled=outer, seed=seed)
@@ -396,46 +423,25 @@ def _run_one(cfg: ExperimentConfig, model, n: int, rep: int, n_ref: float, trace
         x = np.concatenate([sample.X_labeled, sample.X_unlabeled])
         y = sample.Y_padded
     else:
-        x = sample.X_labeled
-        y = sample.Y
+        x, y = sample.X_labeled, sample.Y
 
     if cfg.stopping == "discrepancy":
-        omega = _threshold_for(cfg, model, n, n_ref, trace_k)
-        trace, m_hat = _stop_by_discrepancy(build_kernel_matrix(x, model.kernel), y, omega, x.size)
-        anchor_points = x
-    else:
-        n_val = max(1, round(cfg.holdout_fraction * n))
-        if n_val >= n:
-            raise InvalidInput(
-                f"holdout fraction {cfg.holdout_fraction} leaves no training data at n={n}"
-            )
-        x_train, x_val = x[: n - n_val], x[n - n_val :]
-        y_train, y_val = y[: n - n_val], y[n - n_val :]
-        K = build_kernel_matrix(x_train, model.kernel)
-        trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
-        m_hat = holdout_select(
-            trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M
-        )
-        omega = None
-        anchor_points = x_train
+        omega = _threshold_for(cfg, model, n)
+        K = build_kernel_matrix(x, model.kernel)
+        trace, m_hat = _stop_by_discrepancy(K, y, omega, x.size)
+        return ReplicateFit(n, rep, seed, x, y, K, trace, m_hat, omega)
 
-    alpha = trace.alphas[m_hat]
-    records = []
-    for theta in cfg.theta_list:
-        err = error_norm(alpha, anchor_points, model, theta).error_value
-        records.append(
-            RunRecord(
-                regime=cfg.regime,
-                n=n,
-                rep=rep,
-                theta=theta,
-                error=err * err,
-                m_hat=m_hat,
-                omega=omega,
-                seed=seed,
-            )
+    n_val = max(1, round(cfg.holdout_fraction * n))
+    if n_val >= n:
+        raise InvalidInput(
+            f"holdout fraction {cfg.holdout_fraction} leaves no training data at n={n}"
         )
-    return records
+    x_train, x_val = x[: n - n_val], x[n - n_val :]
+    y_train, y_val = y[: n - n_val], y[n - n_val :]
+    K = build_kernel_matrix(x_train, model.kernel)
+    trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
+    m_hat = holdout_select(trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M)
+    return ReplicateFit(n, rep, seed, x_train, y_train, K, trace, m_hat, None)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -444,13 +450,28 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
     Replicates that fail numerically are recorded in ``failures`` and the
     report is flagged incomplete; aggregation uses the surviving runs.
     """
-    model, n_ref, trace_k = _experiment_context(cfg)
+    model = cfg.model()
     rows: list[RunRecord] = []
     failures: list[str] = []
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
             try:
-                rows.extend(_run_one(cfg, model, n, rep, n_ref, trace_k))
+                fit = fit_replicate(cfg, model, n, rep)
+                rows.extend([
+                    RunRecord(
+                        regime=cfg.regime,
+                        n=n,
+                        rep=rep,
+                        theta=theta,
+                        error=fit.squared_error(model, theta),
+                        m_hat=fit.m_hat,
+                        omega=fit.omega,
+                        seed=fit.seed,
+                    )
+                    for theta in cfg.theta_list
+                ])
+                # Free this replicate's n x n matrix before the next one builds its own.
+                del fit
             except (NumericalFailure, NotReached) as exc:
                 failures.append(
                     f"n={n} rep={rep} seed={derive_seed(cfg.master_seed, n, rep)}: {exc}"
@@ -536,34 +557,26 @@ class CompareReport:
 def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
-    The weighted run stops by the configured threshold; the plain-residual
-    run reports the first iteration matching that accuracy (or its best
-    iteration when it never does); ridge reports its best penalty from a
-    log-spaced grid. All errors are squared prediction-norm distances.
+    The weighted run always stops by the discrepancy rule, whatever
+    ``cfg.stopping`` says; the plain-residual run reports the first
+    iteration matching that accuracy (or its best iteration when it never
+    does); ridge reports its best penalty from a log-spaced grid. All errors
+    are squared prediction-norm distances.
     """
-    model, n_ref, trace_k = _experiment_context(cfg)
+    model = cfg.model()
+    discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
     lam_grid = tuple(
         float(v) for v in model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)
     )
-    outer = cfg.regime == "outer"
     records: list[CompareRecord] = []
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
-            seed = derive_seed(cfg.master_seed, n, rep)
-            sample = draw_sample(model, n, unlabeled=outer, seed=seed)
-            if outer:
-                x = np.concatenate([sample.X_labeled, sample.X_unlabeled])
-                y = sample.Y_padded
-            else:
-                x, y = sample.X_labeled, sample.Y
-            K = build_kernel_matrix(x, model.kernel)
-            sq = lambda a: error_norm(a, x, model, 0.0).error_value ** 2
+            fit = fit_replicate(discrepancy_cfg, model, n, rep)
+            K, y = fit.K, fit.y
+            sq = lambda a: error_norm(a, fit.points, model, 0.0).error_value ** 2
+            cg_error = sq(fit.trace.alphas[fit.m_hat])
 
-            omega = _threshold_for(cfg, model, n, n_ref, trace_k)
-            trace, m_hat = _stop_by_discrepancy(K, y, omega, x.size)
-            cg_error = sq(trace.alphas[m_hat])
-
-            budget = min(x.size, max(HOLDOUT_MAX_ITER, 2 * (m_hat + 1)))
+            budget = min(fit.points.size, max(HOLDOUT_MAX_ITER, 2 * (fit.m_hat + 1)))
             euclid = cg_fit(K, y, max_iter=budget, mode="euclidean")
             errs = [sq(euclid.alphas[m]) for m in range(euclid.m_last + 1)]
             matched = next((m for m, e in enumerate(errs) if e <= cg_error), None)
@@ -582,8 +595,8 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
                 CompareRecord(
                     n=n,
                     rep=rep,
-                    seed=seed,
-                    cg_m_hat=m_hat,
+                    seed=fit.seed,
+                    cg_m_hat=fit.m_hat,
                     cg_error=cg_error,
                     cgme_m=cgme_m,
                     cgme_error=errs[cgme_m],

@@ -91,7 +91,6 @@ def cg_fit(
     Y,
     max_iter: int | None = None,
     mode: Mode = "kn_norm",
-    reorthogonalize: bool = False,
 ) -> CgTrace:
     """Run the conjugate-gradient recursion and record every iterate.
 
@@ -105,10 +104,6 @@ def cg_fit(
         Iteration budget; defaults to n and is capped at n.
     mode : {"kn_norm", "euclidean"}
         Norm minimized over the growing Krylov spaces.
-    reorthogonalize : bool
-        Re-orthogonalize each new basis vector against all previous ones
-        (cost O(m n) extra per iteration). Diagnostics only; the plain
-        recursion is the default.
 
     Returns
     -------
@@ -151,12 +146,6 @@ def cg_fit(
     basis_norms: list[float] = []
     breakdown_at: int | None = None
     break_floor: float | None = None
-
-    # Kept only under reorthogonalize: normalized basis vectors and, in the
-    # weighted mode, their images under the matrix.
-    t_hist: list[np.ndarray] = []
-    d_hist: list[np.ndarray] = []
-    kt_hist: list[np.ndarray] = []
 
     m_done = 0
     for i in range(1, max_iter + 1):
@@ -202,25 +191,8 @@ def cg_fit(
         m_done = i
 
         beta = float(kt @ kr) / n if weighted else float(t @ kr) / n
-        d_new = r - beta * d
-        t_new = kr - beta * t  # equals kn @ d_new by linearity
-
-        if reorthogonalize:
-            t_hist.append(t)
-            d_hist.append(d)
-            if weighted:
-                kt_hist.append(kt)
-            for _ in range(2):
-                for j in range(len(t_hist)):
-                    if weighted:
-                        c = float(t_new @ kt_hist[j]) / n
-                    else:
-                        c = float(t_new @ t_hist[j]) / n
-                    t_new = t_new - c * t_hist[j]
-                    d_new = d_new - c * d_hist[j]
-
-        d = d_new
-        t = t_new
+        d = r - beta * d
+        t = kr - beta * t  # equals kn @ d by linearity
 
     return CgTrace(
         alphas=np.array(alphas),

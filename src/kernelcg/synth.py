@@ -127,10 +127,6 @@ class MercerModel:
             return half_width / math.sqrt(3.0)
         return self.noise.M / math.sqrt(2.0)
 
-    @property
-    def noise_bound_M(self) -> float:
-        return self.noise.M
-
     def identifier(self) -> str:
         """Short content hash used to tie samples back to their model."""
         payload = json.dumps(model_to_dict(self), sort_keys=True)

@@ -4,9 +4,12 @@ Invokes cli.main() in-process so exit codes and printed output can be
 asserted directly; one subprocess test covers the installed entry point.
 """
 
+import ast
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,76 @@ def test_fit_matches_direct_library_call(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert f"m_hat={m_hat}" in stdout
     assert "residuals:" in stdout
+
+
+def test_fit_rejects_holdout_split_without_training_data(tmp_path, capsys):
+    d = inner_dict(stopping={"kind": "holdout", "fraction": 0.99})
+    cfg_path = write_config(tmp_path, d)
+    rc = cli.main(["fit", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "leaves no training data" in capsys.readouterr().err
+
+
+def read_csv_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+@pytest.mark.parametrize(
+    "subcommand, stopping, csv_name",
+    [
+        ("rates", "discrepancy", "rates.csv"),
+        ("holdout", {"kind": "holdout", "fraction": 0.25}, "holdout.csv"),
+    ],
+)
+def test_fit_agrees_with_sweep_rows(tmp_path, subcommand, stopping, csv_name):
+    cfg_path = write_config(tmp_path, inner_dict(stopping=stopping))
+    fit_out, sweep_out = tmp_path / "fit", tmp_path / "sweep"
+    assert cli.main(["fit", "--config", cfg_path, "--out", str(fit_out), "--quiet"]) == 0
+    assert cli.main([subcommand, "--config", cfg_path, "--out", str(sweep_out), "--quiet"]) == 0
+    payload = json.loads((fit_out / "fit.json").read_text())
+    rows = [
+        r for r in read_csv_rows(sweep_out / csv_name)
+        if int(r["n"]) == 16 and int(r["rep"]) == 0
+    ]
+    assert [float(r["theta"]) for r in rows] == [0.0, 0.5]
+    for r in rows:
+        assert int(r["m_hat"]) == payload["m_hat"]
+        assert int(r["seed"]) == payload["seed"]
+        omega = float(r["omega"]) if r["omega"] else None
+        assert omega == payload["omega"]
+        assert float(r["error"]) == payload["errors"][repr(float(r["theta"]))]
+
+
+def test_compare_stops_where_discrepancy_sweep_stops(tmp_path):
+    # compare stops by the discrepancy rule even when the config asks for hold-out
+    d = inner_dict(stopping={"kind": "holdout", "fraction": 0.25})
+    cfg_path = write_config(tmp_path, d)
+    plain_path = write_config(tmp_path, inner_dict(), name="plain.json")
+    assert cli.main(["compare", "--config", cfg_path, "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    assert cli.main(["rates", "--config", plain_path, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    swept = {
+        (int(r["n"]), int(r["rep"])): int(r["m_hat"])
+        for r in read_csv_rows(tmp_path / "r" / "rates.csv")
+    }
+    compared = {
+        (int(r["n"]), int(r["rep"])): int(r["cg_m_hat"])
+        for r in read_csv_rows(tmp_path / "c" / "compare.csv")
+    }
+    assert len(compared) == 4
+    assert compared == swept
+
+
+def test_cli_imports_nothing_private_from_harness():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("harness")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_fit_holdout_config(tmp_path):
@@ -236,6 +309,11 @@ def test_numerical_failure_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert "iteration 3" in err
+    assert "master_seed=11" in err
+
+    rc = cli.main(["rates", "--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == 2
+    assert "master_seed=0" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess(tmp_path):
