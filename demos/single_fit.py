@@ -2,8 +2,10 @@
 """Fit one synthetic sample end to end and show where the iteration stops.
 
 Builds the canonical smooth scenario, draws 256 design points, runs the
-weighted-residual solver, and stops at the calibrated discrepancy threshold.
-Everything is seeded, so the printed numbers are reproducible.
+weighted-residual solver on the factored kernel operator (the n x 401
+factor of K, never the 256 x 256 matrix), and stops at the calibrated
+discrepancy threshold. Everything is seeded, so the printed numbers are
+reproducible.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from kernelcg import (
     ThresholdParams,
     UniformBounded,
-    build_kernel_matrix,
+    build_factored_kernel,
     cg_fit,
     discrepancy_stop,
     draw_sample,
@@ -26,7 +28,7 @@ SEED = 20260801
 model = make_model(s=0.5, r=1.0, rho=1.0, truncation=400, noise=UniformBounded(1.0))
 sample = draw_sample(model, N, seed=SEED)
 
-K = build_kernel_matrix(sample.X_labeled, model.kernel)
+K = build_factored_kernel(sample.X_labeled, model.kernel)
 trace = cg_fit(K, sample.Y)
 
 params = ThresholdParams(

@@ -3,8 +3,8 @@
 
 On shared samples, the weighted run stops by the calibrated threshold; the
 plain-residual variant reports the first iteration reaching the same accuracy;
-ridge reports its best penalty from a 20-point log grid. Iteration counts stay
-comparable while ridge needs a full solve per grid point.
+ridge reports its best penalty from a 20-point log grid, all 20 solutions
+taken from one thin SVD of the kernel factor.
 """
 
 from kernelcg import CompareReport, ExperimentConfig, UniformBounded, compare_solvers

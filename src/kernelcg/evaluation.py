@@ -84,12 +84,17 @@ def kahan_sum(values) -> float:
 
 
 def estimator_spectrum(
-    alpha, train_points, model: MercerModel, kernel: KernelSpec | None = None
+    alpha,
+    train_points,
+    model: MercerModel,
+    kernel: KernelSpec | None = None,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coefficients of the kernel expansion in the model's eigenbasis.
 
     The expansion (1/n) * sum_i alpha_i k(X_i, .) has j-th coefficient
-    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i).
+    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i). ``basis``, when given,
+    is ``model.kernel.basis(train_points)`` evaluated once by the caller.
     """
     if kernel is not None and isinstance(kernel, GaussianKernel):
         raise Unsupported(
@@ -102,8 +107,14 @@ def estimator_spectrum(
         raise InvalidInput(
             f"dimension mismatch: alpha has {alpha.size}, train has {x.size}"
         )
-    phi = model.kernel.basis(x)
-    return model.eigenvalues * (phi.T @ alpha) / x.size
+    if basis is None:
+        basis = model.kernel.basis(x)
+    elif basis.shape != (x.size, model.eigenvalues.size):
+        raise InvalidInput(
+            f"basis shape {basis.shape} does not match {x.size} points "
+            f"and {model.eigenvalues.size} modes"
+        )
+    return model.eigenvalues * (basis.T @ alpha) / x.size
 
 
 def _check_theta(model: MercerModel, theta: float) -> None:
@@ -125,6 +136,7 @@ def error_norm(
     method: str = "auto",
     mc_samples: int = MC_SAMPLES_DEFAULT,
     mc_seed: int = 20_250_101,
+    basis: np.ndarray | None = None,
 ) -> ErrorReport:
     """Distance between the fitted expansion and the model target.
 
@@ -145,6 +157,9 @@ def error_norm(
         "auto" picks spectral whenever the expansion kernel admits it.
     mc_samples, mc_seed : int
         Monte-Carlo draw count and seed (counter-based generator).
+    basis : ndarray, optional
+        ``model.kernel.basis(train_points)``, to spare the spectral route
+        evaluating it again.
     """
     _check_theta(model, theta)
     if method not in ("auto", "spectral", "monte_carlo"):
@@ -154,7 +169,7 @@ def error_norm(
         method = "monte_carlo" if gaussian_fit else "spectral"
 
     if method == "spectral":
-        c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel)
+        c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel, basis=basis)
         delta = c_hat - model.target_coeffs
         xi = model.eigenvalues
         nonzero = delta != 0.0

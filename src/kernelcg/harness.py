@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidInput, NotReached, NumericalFailure
 from .evaluation import ERROR_FLOOR, error_norm
-from .kernels import KernelMatrix, build_kernel_matrix
-from .solvers import CgTrace, cg_fit, ridge_fit
+from .kernels import FactoredKernel, KernelMatrix, KernelOperator
+from .solvers import CgTrace, cg_fit, ridge_path
 from .stopping import (
     ThresholdParams,
     discrepancy_stop,
@@ -388,8 +388,10 @@ class ReplicateFit:
 
     ``points``, ``y`` and ``K`` are the system CG ran on: labeled plus
     unlabeled points with padded responses in the outer regime, only the
-    training part of the split under hold-out stopping. ``omega`` is the
-    discrepancy threshold, None under hold-out stopping.
+    training part of the split under hold-out stopping. ``basis`` is the
+    model's eigenfunction matrix at ``points``, evaluated once and shared by
+    the operator and every error norm. ``omega`` is the discrepancy
+    threshold, None under hold-out stopping.
     """
 
     n: int
@@ -397,15 +399,18 @@ class ReplicateFit:
     seed: int
     points: np.ndarray
     y: np.ndarray
-    K: KernelMatrix
+    basis: np.ndarray
+    K: KernelOperator
     trace: CgTrace
     m_hat: int
     omega: float | None
 
-    def squared_error(self, model: MercerModel, theta: float) -> float:
-        """Squared theta-norm distance of the stopped iterate from the target."""
-        alpha = self.trace.alphas[self.m_hat]
-        err = error_norm(alpha, self.points, model, theta).error_value
+    def squared_error(self, model: MercerModel, theta: float, alpha=None) -> float:
+        """Squared theta-norm distance from the target of ``alpha``, by default
+        the stopped iterate."""
+        if alpha is None:
+            alpha = self.trace.alphas[self.m_hat]
+        err = error_norm(alpha, self.points, model, theta, basis=self.basis).error_value
         return err * err
 
 
@@ -427,9 +432,10 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
 
     if cfg.stopping == "discrepancy":
         omega = _threshold_for(cfg, model, n)
-        K = build_kernel_matrix(x, model.kernel)
+        phi = model.kernel.basis(x)
+        K = FactoredKernel.from_basis(phi, model.eigenvalues)
         trace, m_hat = _stop_by_discrepancy(K, y, omega, x.size)
-        return ReplicateFit(n, rep, seed, x, y, K, trace, m_hat, omega)
+        return ReplicateFit(n, rep, seed, x, y, phi, K, trace, m_hat, omega)
 
     n_val = max(1, round(cfg.holdout_fraction * n))
     if n_val >= n:
@@ -438,10 +444,14 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         )
     x_train, x_val = x[: n - n_val], x[n - n_val :]
     y_train, y_val = y[: n - n_val], y[n - n_val :]
-    K = build_kernel_matrix(x_train, model.kernel)
+    # Hold-out reads every iterate up to HOLDOUT_MAX_ITER. Without
+    # reorthogonalization, iterates past about ten steps depend on rounding,
+    # so this path keeps the dense operator and the dense path's results.
+    phi = model.kernel.basis(x_train)
+    K = KernelMatrix.from_basis(phi, model.eigenvalues)
     trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
     m_hat = holdout_select(trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M)
-    return ReplicateFit(n, rep, seed, x_train, y_train, K, trace, m_hat, None)
+    return ReplicateFit(n, rep, seed, x_train, y_train, phi, K, trace, m_hat, None)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -470,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
                     )
                     for theta in cfg.theta_list
                 ])
-                # Free this replicate's n x n matrix before the next one builds its own.
+                # Free this replicate's operator and basis before the next one builds its own.
                 del fit
             except (NumericalFailure, NotReached) as exc:
                 failures.append(
@@ -560,8 +570,9 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     The weighted run always stops by the discrepancy rule, whatever
     ``cfg.stopping`` says; the plain-residual run reports the first
     iteration matching that accuracy (or its best iteration when it never
-    does); ridge reports its best penalty from a log-spaced grid. All errors
-    are squared prediction-norm distances.
+    does); ridge reports its best penalty from a log-spaced grid, solved
+    in one pass by ``ridge_path``. All errors are squared prediction-norm
+    distances, squared as in ``ReplicateFit.squared_error``.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
@@ -572,12 +583,11 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
             fit = fit_replicate(discrepancy_cfg, model, n, rep)
-            K, y = fit.K, fit.y
-            sq = lambda a: error_norm(a, fit.points, model, 0.0).error_value ** 2
-            cg_error = sq(fit.trace.alphas[fit.m_hat])
+            sq = lambda a: fit.squared_error(model, 0.0, a)
+            cg_error = fit.squared_error(model, 0.0)
 
             budget = min(fit.points.size, max(HOLDOUT_MAX_ITER, 2 * (fit.m_hat + 1)))
-            euclid = cg_fit(K, y, max_iter=budget, mode="euclidean")
+            euclid = cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean")
             errs = [sq(euclid.alphas[m]) for m in range(euclid.m_last + 1)]
             matched = next((m for m, e in enumerate(errs) if e <= cg_error), None)
             if matched is None:
@@ -588,7 +598,7 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
                 cgme_matched = True
 
             ridge_lambda, ridge_error = min(
-                ((lam, sq(ridge_fit(K, y, lam).alpha)) for lam in lam_grid),
+                zip(lam_grid, map(sq, ridge_path(fit.K, fit.y, lam_grid))),
                 key=lambda t: t[1],
             )
             records.append(

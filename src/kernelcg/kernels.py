@@ -1,9 +1,13 @@
-"""Kernel specifications, normalized kernel matrices, and weighted inner products.
+"""Kernel specifications, normalized kernel operators, and weighted inner products.
 
 Two kernel families are provided: a Gaussian kernel on the line, used for
 smoke tests where no spectral structure is needed, and a truncated cosine
 series kernel on [0, 1] whose eigenvalues and eigenfunctions are known in
 closed form. All downstream spectral computations rely on the latter.
+
+Solvers see a kernel through a normalized operator: the dense
+``KernelMatrix`` for any kernel, or the ``FactoredKernel`` of the finite-rank
+cosine kernel, which never forms the n x n matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, Unsupported
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ KernelSpec = Union[GaussianKernel, MercerKernel]
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Normalized kernel matrix with entries k(X_i, X_j) / n.
+    """Normalized kernel matrix with entries k(X_i, X_j) / n, stored densely.
 
     Entries are frozen after construction; both the matrix and its size
     are safe to share across threads.
@@ -143,6 +147,79 @@ class KernelMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def from_basis(cls, basis, eigenvalues) -> "KernelMatrix":
+        """Dense matrix of a Mercer kernel from its eigenfunction matrix.
+
+        Bit-identical to ``build_kernel_matrix`` on the points ``basis`` was
+        evaluated at, without evaluating the basis again.
+        """
+        basis = np.asarray(basis, dtype=float)
+        return _symmetrized((basis * eigenvalues) @ basis.T)
+
+    def matvec(self, v) -> np.ndarray:
+        """K @ v for a vector or a matrix of column vectors."""
+        return self.entries @ v
+
+    def sqrt_matvec(self, v) -> np.ndarray:
+        """R @ v for the symmetric square root R of K, so |R v|^2 = v.T K v."""
+        lam, q = np.linalg.eigh(self.entries)
+        root = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
+        return root @ v
+
+
+@dataclass(frozen=True)
+class FactoredKernel:
+    """Normalized kernel matrix K = B B.T of a finite-rank kernel, kept as B.
+
+    For a Mercer kernel with eigenfunction matrix Phi at n points and
+    eigenvalues xi, B = Phi * sqrt(xi / n) has one column per mode, so a
+    matvec costs O(n * modes) and the n x n matrix is never formed.
+    """
+
+    factor: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        factor = np.array(self.factor, dtype=float)
+        if factor.ndim != 2 or factor.shape[0] != self.n:
+            raise InvalidInput(
+                f"factor must have n={self.n} rows, got shape {factor.shape}"
+            )
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+
+    @classmethod
+    def from_basis(cls, basis, eigenvalues) -> "FactoredKernel":
+        """Factor of the normalized Mercer kernel matrix from its eigenfunction matrix."""
+        basis = np.asarray(basis, dtype=float)
+        n = basis.shape[0]
+        return cls(factor=basis * np.sqrt(np.asarray(eigenvalues) / n), n=n)
+
+    def matvec(self, v) -> np.ndarray:
+        """K @ v = B @ (B.T @ v) for a vector or a matrix of column vectors."""
+        return self.factor @ (self.factor.T @ v)
+
+    def sqrt_matvec(self, v) -> np.ndarray:
+        """B.T @ v, so |B.T v|^2 = v.T K v."""
+        return self.factor.T @ v
+
+
+#: Either kernel operator; solvers use only ``n``, ``matvec`` and ``sqrt_matvec``.
+KernelOperator = Union[KernelMatrix, FactoredKernel]
+
+
+def _symmetrized(g: np.ndarray) -> KernelMatrix:
+    n = g.shape[0]
+    return KernelMatrix(entries=(g + g.T) / (2.0 * n), n=n)
+
+
+def _points(points) -> np.ndarray:
+    x = np.asarray(points, dtype=float).ravel()
+    if x.size == 0:
+        raise InvalidInput("points must be non-empty")
+    return x
+
 
 def build_kernel_matrix(points, kernel: KernelSpec) -> KernelMatrix:
     """Construct the normalized kernel matrix with entries k(X_i, X_j) / n.
@@ -151,16 +228,23 @@ def build_kernel_matrix(points, kernel: KernelSpec) -> KernelMatrix:
     the result is symmetric bit-exactly regardless of how the kernel
     evaluates its series.
     """
-    x = np.asarray(points, dtype=float).ravel()
-    if x.size == 0:
-        raise InvalidInput("points must be non-empty")
-    g = kernel.gram(x, x)
-    n = x.size
-    entries = (g + g.T) / (2.0 * n)
-    return KernelMatrix(entries=entries, n=n)
+    x = _points(points)
+    return _symmetrized(kernel.gram(x, x))
 
 
-def kn_inner(u, v, K: KernelMatrix) -> float:
+def build_factored_kernel(points, kernel: MercerKernel) -> FactoredKernel:
+    """Construct the normalized kernel matrix of a Mercer kernel in factored form.
+
+    Agrees with ``build_kernel_matrix`` up to rounding (about 1e-15
+    relative) while storing n * n_modes numbers instead of n * n.
+    """
+    if not isinstance(kernel, MercerKernel):
+        raise Unsupported("only a finite-rank Mercer kernel has a factored form")
+    x = _points(points)
+    return FactoredKernel.from_basis(kernel.basis(x), kernel.eigenvalues())
+
+
+def kn_inner(u, v, K: KernelOperator) -> float:
     """Weighted inner product (1/n) * u.T @ K @ v.
 
     Together with the 1/n already inside the matrix entries this realizes
@@ -172,4 +256,4 @@ def kn_inner(u, v, K: KernelMatrix) -> float:
         raise InvalidInput(
             f"dimension mismatch: u has {u.size}, v has {v.size}, matrix has {K.n}"
         )
-    return float(u @ (K.entries @ v)) / K.n
+    return float(u @ K.matvec(v)) / K.n

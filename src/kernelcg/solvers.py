@@ -7,7 +7,9 @@ weighted inner product for the plain rescaled Euclidean one, which is the
 classical minimum-error / partial-least-squares variant. ``krylov_oracle``
 solves the same minimization by explicit basis construction and dense least
 squares; it is deliberately independent of the recursion so the two can
-check each other.
+check each other. Both take either kernel operator. ``ridge_fit`` solves one
+penalized system on a dense matrix; ``ridge_path`` solves a whole penalty
+grid from one thin SVD of a factored kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import KernelMatrix, KernelSpec
+from .kernels import FactoredKernel, KernelMatrix, KernelOperator, KernelSpec
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -79,7 +81,7 @@ class RidgeSolution:
         object.__setattr__(self, "alpha", a)
 
 
-def _check_system(K: KernelMatrix, Y) -> np.ndarray:
+def _check_system(K: KernelOperator, Y) -> np.ndarray:
     y = np.asarray(Y, dtype=float).ravel()
     if y.size != K.n:
         raise InvalidInput(f"dimension mismatch: Y has {y.size}, matrix has {K.n}")
@@ -87,7 +89,7 @@ def _check_system(K: KernelMatrix, Y) -> np.ndarray:
 
 
 def cg_fit(
-    K: KernelMatrix,
+    K: KernelOperator,
     Y,
     max_iter: int | None = None,
     mode: Mode = "kn_norm",
@@ -96,8 +98,8 @@ def cg_fit(
 
     Parameters
     ----------
-    K : KernelMatrix
-        Normalized kernel matrix.
+    K : KernelMatrix or FactoredKernel
+        Normalized kernel operator; only its ``matvec`` is used.
     Y : array-like, shape (n,)
         Response vector.
     max_iter : int, optional
@@ -126,20 +128,19 @@ def cg_fit(
     if max_iter < 0:
         raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
 
-    kn = K.entries
     weighted = mode == "kn_norm"
 
     def mode_norm(vec: np.ndarray, kvec: np.ndarray) -> float:
-        # kvec must equal kn @ vec; the weighted norm reuses it for free.
+        # kvec must equal K @ vec; the weighted norm reuses it for free.
         if weighted:
             return float(np.sqrt(max(vec @ kvec, 0.0) / n))
         return float(np.sqrt((vec @ vec) / n))
 
     alpha = np.zeros(n)
     r = y.copy()
-    kr = kn @ r
+    kr = K.matvec(r)
     d = y.copy()
-    t = kr.copy()  # t = kn @ d throughout
+    t = kr.copy()  # t = K @ d throughout
 
     alphas = [alpha.copy()]
     residual_norms = [mode_norm(r, kr)]
@@ -149,7 +150,7 @@ def cg_fit(
 
     m_done = 0
     for i in range(1, max_iter + 1):
-        kt = kn @ t
+        kt = K.matvec(t)
         s = mode_norm(t, kt)
         if not np.isfinite(s):
             raise NumericalFailure(
@@ -192,7 +193,7 @@ def cg_fit(
 
         beta = float(kt @ kr) / n if weighted else float(t @ kr) / n
         d = r - beta * d
-        t = kr - beta * t  # equals kn @ d by linearity
+        t = kr - beta * t  # equals K @ d by linearity
 
     return CgTrace(
         alphas=np.array(alphas),
@@ -204,13 +205,14 @@ def cg_fit(
     )
 
 
-def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
+def krylov_oracle(K: KernelOperator, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
     """Directly minimize the mode's residual norm over the order-m Krylov space.
 
     Forms the power basis {Y, KY, ..., K^(m-1)Y} explicitly, orthonormalizes
     it with rank detection, and solves the reduced least-squares problem
-    densely. Rank-deficient bases are truncated to their numerical dimension,
-    so m beyond the reachable space returns the terminal solution.
+    densely. The weighted mode measures residuals through the operator's
+    ``sqrt_matvec``. Rank-deficient bases are truncated to their numerical
+    dimension, so m beyond the reachable space returns the terminal solution.
     """
     if mode not in ("kn_norm", "euclidean"):
         raise InvalidInput(f"mode must be 'kn_norm' or 'euclidean', got {mode!r}")
@@ -222,10 +224,9 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     if m == 0 or not np.any(y):
         return np.zeros(n)
 
-    kn = K.entries
     cols = [y]
     for _ in range(min(m, n) - 1):
-        cols.append(kn @ cols[-1])
+        cols.append(K.matvec(cols[-1]))
     v = np.column_stack(cols)
     # Guard against overflow/underflow across powers before rank detection.
     scale = np.linalg.norm(v, axis=0)
@@ -237,13 +238,12 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     rank = int(np.sum(sv > tol))
     u = u_full[:, :rank]
 
-    ku = kn @ u
+    ku = K.matvec(u)
     if mode == "euclidean":
         coef, *_ = np.linalg.lstsq(ku, y, rcond=None)
     else:
-        lam, q = np.linalg.eigh(kn)
-        root = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
-        coef, *_ = np.linalg.lstsq(root @ ku, root @ y, rcond=None)
+        weighted = K.sqrt_matvec(np.column_stack([ku, y]))
+        coef, *_ = np.linalg.lstsq(weighted[:, :-1], weighted[:, -1], rcond=None)
     return u @ coef
 
 
@@ -256,6 +256,25 @@ def ridge_fit(K: KernelMatrix, Y, lam: float) -> RidgeSolution:
     factor = scipy.linalg.cho_factor(a, lower=True)
     alpha = scipy.linalg.cho_solve(factor, y)
     return RidgeSolution(alpha=alpha, lam=float(lam))
+
+
+def ridge_path(K: FactoredKernel, Y, lams) -> np.ndarray:
+    """Ridge coefficients for every penalty in ``lams`` from one thin SVD.
+
+    With the factor B = U diag(s) V.T, K = U diag(s^2) U.T, so
+    (K + lam * I)^-1 Y = U diag(1 / (s^2 + lam)) U.T Y + (Y - U U.T Y) / lam.
+    Row i of the result solves the system at ``lams[i]``.
+    """
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if not lam > 0:
+            raise InvalidInput(f"lambda must be positive, got {lam}")
+    y = _check_system(K, Y)
+    u, s, _ = np.linalg.svd(K.factor, full_matrices=False)
+    uty = u.T @ y
+    rest = y - u @ uty
+    s2 = s * s
+    return np.array([u @ (uty / (s2 + lam)) + rest / lam for lam in lams])
 
 
 def predict(alpha, train_points, kernel: KernelSpec, query_points) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from kernelcg import cli
 from kernelcg.errors import NumericalFailure
 from kernelcg.harness import ExperimentConfig, config_hash, derive_seed
-from kernelcg.kernels import build_kernel_matrix
+from kernelcg.kernels import build_factored_kernel, build_kernel_matrix
 from kernelcg.solvers import cg_fit
 from kernelcg.stopping import discrepancy_stop
 from kernelcg.synth import draw_sample
@@ -97,7 +97,7 @@ def test_fit_matches_direct_library_call(tmp_path, capsys):
     model = cfg.model()
     seed = derive_seed(cfg.master_seed, 16, 0)
     sample = draw_sample(model, 16, seed=seed)
-    K = build_kernel_matrix(sample.X_labeled, model.kernel)
+    K = build_factored_kernel(sample.X_labeled, model.kernel)
     trace = cg_fit(K, sample.Y, max_iter=16)
     m_hat = discrepancy_stop(trace, payload["omega"])
 
@@ -106,6 +106,14 @@ def test_fit_matches_direct_library_call(tmp_path, capsys):
     assert payload["m_hat"] == m_hat
     prefix = trace.residual_norms[: len(payload["residual_norms"])]
     np.testing.assert_allclose(payload["residual_norms"], prefix, rtol=1e-12)
+
+    # The dense matrix stops at the same index; late iterates depend on
+    # rounding, so residuals are compared only up to the stop.
+    dense = cg_fit(build_kernel_matrix(sample.X_labeled, model.kernel), sample.Y, max_iter=16)
+    assert discrepancy_stop(dense, payload["omega"]) == m_hat
+    np.testing.assert_allclose(
+        payload["residual_norms"][: m_hat + 1], dense.residual_norms[: m_hat + 1], rtol=1e-9
+    )
 
     stdout = capsys.readouterr().out
     assert f"m_hat={m_hat}" in stdout
@@ -162,12 +170,17 @@ def test_compare_stops_where_discrepancy_sweep_stops(tmp_path):
         (int(r["n"]), int(r["rep"])): int(r["m_hat"])
         for r in read_csv_rows(tmp_path / "r" / "rates.csv")
     }
-    compared = {
-        (int(r["n"]), int(r["rep"])): int(r["cg_m_hat"])
-        for r in read_csv_rows(tmp_path / "c" / "compare.csv")
-    }
+    compare_rows = read_csv_rows(tmp_path / "c" / "compare.csv")
+    compared = {(int(r["n"]), int(r["rep"])): int(r["cg_m_hat"]) for r in compare_rows}
     assert len(compared) == 4
     assert compared == swept
+    # cg_error is the theta-0 rates.csv error of the same replicate, bit for bit
+    swept_errors = {
+        (int(r["n"]), int(r["rep"])): r["error"]
+        for r in read_csv_rows(tmp_path / "r" / "rates.csv")
+        if float(r["theta"]) == 0.0
+    }
+    assert {(int(r["n"]), int(r["rep"])): r["cg_error"] for r in compare_rows} == swept_errors
 
 
 def test_cli_imports_nothing_private_from_harness():
