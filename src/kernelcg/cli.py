@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidInput, NotReached, NumericalFailure
+from .errors import InvalidInput, NumericalFailure
 from .harness import (
     ExperimentConfig,
     canonical_json,
@@ -229,9 +229,6 @@ def main(argv=None) -> int:
             f"(master_seed={cfg.master_seed}): {exc}",
             file=sys.stderr,
         )
-        return EXIT_NUMERICAL
-    except NotReached as exc:
-        print(f"stopping threshold not reached: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInput, NotReached, NumericalFailure
+from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, error_norm
 from .kernels import FactoredKernel, KernelMatrix, KernelOperator
 from .solvers import CgTrace, cg_fit, ridge_path
@@ -41,9 +41,6 @@ from .synth import (
     noise_from_dict,
     noise_to_dict,
 )
-
-#: Iteration budget for the first stopping attempt; doubled on demand.
-INITIAL_MAX_ITER = 32
 
 #: Iteration cap for hold-out traces: the validation curve bottoms out
 #: within a few dozen iterations at desk scale, and full-length traces
@@ -369,19 +366,6 @@ def _threshold_for(cfg: ExperimentConfig, model, n: int) -> float:
     return threshold_outer(params).omega
 
 
-def _stop_by_discrepancy(K, y, omega: float, n_rows: int) -> tuple[CgTrace, int]:
-    """Run CG with a growing iteration budget until the threshold decides."""
-    max_iter = min(INITIAL_MAX_ITER, n_rows)
-    while True:
-        trace = cg_fit(K, y, max_iter=max_iter)
-        try:
-            return trace, discrepancy_stop(trace, omega)
-        except NotReached:
-            if max_iter >= n_rows:
-                raise
-            max_iter = min(2 * max_iter, n_rows)
-
-
 @dataclass(frozen=True)
 class ReplicateFit:
     """One seeded replicate: its design, CG trace and stop index.
@@ -417,9 +401,9 @@ class ReplicateFit:
 def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
     """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
 
-    Raises InvalidInput when the hold-out split leaves no training data,
-    NotReached when the discrepancy threshold is never met, and
-    NumericalFailure from the solver.
+    Under the discrepancy rule CG ends at the stop index, so the trace holds
+    ``m_hat + 1`` iterates. Raises InvalidInput when the hold-out split leaves
+    no training data, and NumericalFailure from the solver.
     """
     seed = derive_seed(cfg.master_seed, n, rep)
     outer = cfg.regime == "outer"
@@ -434,7 +418,8 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         omega = _threshold_for(cfg, model, n)
         phi = model.kernel.basis(x)
         K = FactoredKernel.from_basis(phi, model.eigenvalues)
-        trace, m_hat = _stop_by_discrepancy(K, y, omega, x.size)
+        trace = cg_fit(K, y, max_iter=x.size, stop=lambda m, res, a: res < omega)
+        m_hat = discrepancy_stop(trace, omega)
         return ReplicateFit(n, rep, seed, x, y, phi, K, trace, m_hat, omega)
 
     n_val = max(1, round(cfg.holdout_fraction * n))
@@ -450,7 +435,9 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
     phi = model.kernel.basis(x_train)
     K = KernelMatrix.from_basis(phi, model.eigenvalues)
     trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
-    m_hat = holdout_select(trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M)
+    m_hat = holdout_select(
+        trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M, train_basis=phi
+    )
     return ReplicateFit(n, rep, seed, x_train, y_train, phi, K, trace, m_hat, None)
 
 
@@ -482,7 +469,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
                 ])
                 # Free this replicate's operator and basis before the next one builds its own.
                 del fit
-            except (NumericalFailure, NotReached) as exc:
+            except NumericalFailure as exc:
                 failures.append(
                     f"n={n} rep={rep} seed={derive_seed(cfg.master_seed, n, rep)}: {exc}"
                 )
@@ -568,11 +555,12 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
     The weighted run always stops by the discrepancy rule, whatever
-    ``cfg.stopping`` says; the plain-residual run reports the first
-    iteration matching that accuracy (or its best iteration when it never
-    does); ridge reports its best penalty from a log-spaced grid, solved
-    in one pass by ``ridge_path``. All errors are squared prediction-norm
-    distances, squared as in ``ReplicateFit.squared_error``.
+    ``cfg.stopping`` says; the plain-residual run ends at the first
+    iteration matching that accuracy (or runs its whole budget and reports
+    its best iteration when it never does); ridge reports its best penalty
+    from a log-spaced grid, solved in one pass by ``ridge_path``. All errors
+    are squared prediction-norm distances, squared as in
+    ``ReplicateFit.squared_error``.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
@@ -587,15 +575,15 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
             cg_error = fit.squared_error(model, 0.0)
 
             budget = min(fit.points.size, max(HOLDOUT_MAX_ITER, 2 * (fit.m_hat + 1)))
-            euclid = cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean")
-            errs = [sq(euclid.alphas[m]) for m in range(euclid.m_last + 1)]
-            matched = next((m for m, e in enumerate(errs) if e <= cg_error), None)
-            if matched is None:
-                cgme_m = int(np.argmin(errs))
-                cgme_matched = False
-            else:
-                cgme_m = matched
-                cgme_matched = True
+            errs: list[float] = []
+
+            def matched(m, res, alpha):
+                errs.append(sq(alpha))
+                return errs[-1] <= cg_error
+
+            cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean", stop=matched)
+            cgme_matched = errs[-1] <= cg_error
+            cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
 
             ridge_lambda, ridge_error = min(
                 zip(lam_grid, map(sq, ridge_path(fit.K, fit.y, lam_grid))),

@@ -15,7 +15,7 @@ grid from one thin SVD of a factored kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 import scipy.linalg
@@ -93,8 +93,9 @@ def cg_fit(
     Y,
     max_iter: int | None = None,
     mode: Mode = "kn_norm",
+    stop: Callable[[int, float, np.ndarray], bool] | None = None,
 ) -> CgTrace:
-    """Run the conjugate-gradient recursion and record every iterate.
+    """Run the conjugate-gradient recursion and record every iterate up to the stop.
 
     Parameters
     ----------
@@ -106,6 +107,10 @@ def cg_fit(
         Iteration budget; defaults to n and is capped at n.
     mode : {"kn_norm", "euclidean"}
         Norm minimized over the growing Krylov spaces.
+    stop : callable, optional
+        ``stop(m, residual_norm, alpha)``, called on iterate 0 and after every
+        recorded iterate; the run ends at the first True. The recursion does
+        not change, so a stopped trace is a bit-exact prefix of the full one.
 
     Returns
     -------
@@ -147,6 +152,8 @@ def cg_fit(
     basis_norms: list[float] = []
     breakdown_at: int | None = None
     break_floor: float | None = None
+    if stop is not None and stop(0, residual_norms[0], alpha):
+        max_iter = 0
 
     m_done = 0
     for i in range(1, max_iter + 1):
@@ -190,6 +197,8 @@ def cg_fit(
         alphas.append(alpha.copy())
         residual_norms.append(res_new)
         m_done = i
+        if stop is not None and stop(i, res_new, alpha):
+            break
 
         beta = float(kt @ kr) / n if weighted else float(t @ kr) / n
         d = r - beta * d

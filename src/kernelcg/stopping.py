@@ -215,7 +215,7 @@ def discrepancy_stop(trace: CgTrace, omega: float) -> int:
     reachable space (breakdown, or as many iterations as the system has
     rows), the terminal iterate is the exact minimizer over that space and
     its index is returned. If the run was merely truncated by ``max_iter``,
-    raises ``NotReached`` so the caller can extend the budget.
+    raises ``NotReached``.
     """
     if not omega > 0:
         raise InvalidInput(f"omega must be positive, got {omega}")
@@ -237,12 +237,15 @@ def holdout_select(
     val_points,
     val_labels,
     M_clip: float,
+    train_basis: np.ndarray | None = None,
 ) -> int:
     """Iteration whose clipped predictor best fits held-out data.
 
     Every recorded iterate is evaluated on the validation points, predictions
     are clamped to [-M_clip, M_clip], and the index with the smallest mean
     squared validation error wins; ties break toward the smallest index.
+    ``train_basis``, when given, is ``kernel.basis(train_points)`` of a
+    ``MercerKernel`` evaluated once by the caller.
     """
     val_x = np.asarray(val_points, dtype=float).ravel()
     val_y = np.asarray(val_labels, dtype=float).ravel()
@@ -255,7 +258,13 @@ def holdout_select(
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
     x = np.asarray(train_points, dtype=float).ravel()
-    cross = kernel.gram(val_x, x) / x.size
+    if train_basis is None:
+        cross = kernel.gram(val_x, x) / x.size
+    elif train_basis.shape != (x.size, kernel.n_modes):
+        raise InvalidInput(f"train_basis shape {train_basis.shape} does not fit {x.size} points")
+    else:
+        # The product MercerKernel.gram forms, with the training basis reused.
+        cross = (kernel.basis(val_x) * kernel.eigenvalues()) @ train_basis.T / x.size
     preds = trace.alphas @ cross.T  # (m_last + 1, n_val)
     clipped = np.clip(preds, -M_clip, M_clip)
     losses = np.mean((clipped - val_y) ** 2, axis=1)

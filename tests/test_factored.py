@@ -108,6 +108,35 @@ def test_cg_iterates_and_stop_match_dense(case, scale):
         assert discrepancy_stop(fast, omega) == expected
 
 
+# The stop only ends the loop; the recursion is untouched, so the stopped
+# trace must be the unstopped one cut at its stop, bit for bit.
+@settings(max_examples=25, deadline=None)
+@given(
+    cases.filter(lambda c: c[1] <= 300),
+    st.sampled_from(["kn_norm", "euclidean"]),
+    st.floats(-4.0, 0.2),
+)
+def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
+    name, n, seed = case
+    model = SHIPPED[name]
+    x, y = draw(n, seed, model)
+    for K in operators(x, model):
+        full = cg_fit(K, y, mode=mode)
+        omega = 10.0**log_scale * full.residual_norms[0]
+        stopped = cg_fit(K, y, mode=mode, stop=lambda m, res, a: res < omega)
+        m = stopped.m_last
+        assert np.array_equal(stopped.alphas, full.alphas[: m + 1])
+        assert np.array_equal(stopped.residual_norms, full.residual_norms[: m + 1])
+        if stopped.residual_norms[-1] < omega:
+            assert stopped.breakdown_at is None
+            assert np.array_equal(stopped.basis_norms, full.basis_norms[:m])
+        else:
+            assert m == full.m_last
+            assert stopped.breakdown_at == full.breakdown_at
+            assert np.array_equal(stopped.basis_norms, full.basis_norms)
+        assert discrepancy_stop(stopped, omega) == discrepancy_stop(full, omega) == m
+
+
 @settings(max_examples=25, deadline=None)
 @given(cases, st.sampled_from(["kn_norm", "euclidean"]))
 def test_oracle_on_factored_operator_matches_cg(case, mode):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,16 @@ from kernelcg import (
     build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
+    draw_sample,
     error_norm,
     eval_target,
+    holdout_select,
     make_model,
     ridge_fit,
 )
 from kernelcg.harness import (
     CSV_COLUMNS,
+    HOLDOUT_MAX_ITER,
     ExperimentConfig,
     canonical_json,
     compare_solvers,
@@ -34,6 +39,10 @@ from kernelcg.harness import (
     write_plot_tsv,
     write_rows_csv,
     write_summary_json,
+)
+
+REDUCED_INNER = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "inner_r1_s05.reduced.json"
 )
 
 
@@ -289,8 +298,58 @@ class TestFitReplicate:
             err = error_norm(alpha, fit.points, model, theta).error_value
             assert fit.squared_error(model, theta) == err * err
 
+    @pytest.mark.parametrize("cfg", [inner_config(), outer_config()], ids=["inner", "outer"])
+    def test_discrepancy_trace_ends_at_the_stop(self, cfg):
+        model = cfg.model()
+        stops = []
+        for n in cfg.n_grid:
+            for rep in range(cfg.replicates):
+                fit = fit_replicate(cfg, model, n, rep)
+                # A breakdown ends the run at its exact minimizer, which is
+                # then the stop even when it does not beat omega.
+                assert fit.trace.m_last == fit.m_hat
+                if fit.trace.breakdown_at is None:
+                    assert fit.trace.residual_norms[-1] < fit.omega
+                stops.append(fit.m_hat)
+        assert max(stops) > 0
+
+    def test_holdout_stop_matches_select_on_the_gram_matrix(self):
+        cfg = inner_config(stopping="holdout", holdout_fraction=0.25)
+        model = cfg.model()
+        for rep in range(cfg.replicates):
+            fit = fit_replicate(cfg, model, 64, rep)
+            sample = draw_sample(model, 64, seed=fit.seed)
+            n_train = fit.points.size
+            x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
+            expected = holdout_select(
+                fit.trace, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M
+            )
+            assert fit.m_hat == expected
+
 
 class TestCompareSolvers:
+    def test_euclidean_run_matches_a_full_budget_reference(self):
+        """The plain-residual run ends inside CG at its first match; a full
+        budget run, searched afterwards, must pick the same iterate."""
+        cfg = ExperimentConfig.from_dict(json.loads(REDUCED_INNER.read_text()))
+        cfg = replace(cfg, master_seed=3)
+        model = cfg.model()
+        report = compare_solvers(cfg)
+        for rec in report.records:
+            fit = fit_replicate(cfg, model, rec.n, rec.rep)
+            budget = min(fit.points.size, max(HOLDOUT_MAX_ITER, 2 * (fit.m_hat + 1)))
+            euclid = cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean")
+            errs = [
+                fit.squared_error(model, 0.0, euclid.alphas[m])
+                for m in range(euclid.m_last + 1)
+            ]
+            matched = [m for m, e in enumerate(errs) if e <= rec.cg_error]
+            cgme_m = matched[0] if matched else int(np.argmin(errs))
+            assert (rec.cgme_m, rec.cgme_error, rec.cgme_matched) == (
+                cgme_m, errs[cgme_m], bool(matched)
+            ), rec.n
+        assert {rec.cgme_matched for rec in report.records} == {True, False}
+
     def test_identical_seeds_identical_tables(self):
         cfg = inner_config(n_grid=(24, 48), replicates=2)
         a = compare_solvers(cfg)

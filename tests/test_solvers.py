@@ -151,6 +151,31 @@ class TestTraceInvariants:
         assert np.array_equal(short.alphas, full.alphas[:4])
         assert short.residual_norms == full.residual_norms[:4]
 
+    def test_stop_at_zero_records_only_the_start(self):
+        K, y = random_psd_system(17, 8)
+        seen = []
+        trace = cg_fit(K, y, stop=lambda m, res, a: seen.append(m) or True)
+        assert seen == [0]
+        assert trace.m_last == 0
+        assert trace.alphas.shape == (1, 8)
+        assert trace.basis_norms == []
+        assert trace.breakdown_at is None
+
+    @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
+    def test_stop_sees_every_recorded_iterate(self, mode):
+        K, y = random_psd_system(19, 8)
+        seen = []
+
+        def stop(m, res, alpha):
+            seen.append((m, res, alpha.copy()))
+            return m == 5
+
+        trace = cg_fit(K, y, mode=mode, stop=stop)
+        assert trace.m_last == 5
+        assert [m for m, _, _ in seen] == list(range(6))
+        assert [res for _, res, _ in seen] == trace.residual_norms
+        assert np.array_equal([a for _, _, a in seen], trace.alphas)
+
     def test_determinism_bit_identical(self):
         K, y = random_psd_system(13, 8)
         a = cg_fit(K, y)
