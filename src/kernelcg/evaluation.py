@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import InvalidInput, Unsupported
 from .kernels import GaussianKernel, KernelSpec
@@ -234,6 +233,10 @@ def effective_dimension(
             raise InvalidInput(
                 f"tail_decay must exceed 1 for the tail to converge, got {tail_decay}"
             )
+        # Imported here: scipy.integrate adds about 0.5 s to start-up and no
+        # subcommand asks for the tail bound.
+        import scipy.integrate
+
         # substitute u = 1/t so the domain is the finite interval (0, 1/tail_from];
         # quad on a half-line with a large lower limit silently underestimates
         d = float(tail_decay)

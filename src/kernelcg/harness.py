@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -634,9 +633,13 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The temp file is created with mode 0o666 like ``open()`` (not 0o600 like
+    ``tempfile.mkstemp``), so the umask gives the artifact its usual mode.
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

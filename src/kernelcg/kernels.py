@@ -12,7 +12,7 @@ cosine kernel, which never forms the n x n matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Union
 
 import numpy as np
@@ -92,12 +92,17 @@ class MercerKernel:
     def basis(self, points) -> np.ndarray:
         """Eigenfunction matrix with shape (len(points), n_modes)."""
         x = np.asarray(points, dtype=float).ravel()
-        j = np.arange(1, self.truncation + 1, dtype=float)
-        cos_part = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, j))
+        first = 0 if self.include_constant else 1
+        j = np.arange(first, self.truncation + 1, dtype=float)
+        # One array, updated in place: each fresh n x modes temporary costs
+        # new pages. Same operations as sqrt(2) * cos(pi * outer(x, j)).
+        out = np.outer(x, j)
+        out *= np.pi
+        np.cos(out, out=out)
+        out *= np.sqrt(2.0)
         if self.include_constant:
-            const = np.ones((x.size, 1))
-            return np.hstack([const, cos_part])
-        return cos_part
+            out[:, 0] = 1.0
+        return out
 
     @property
     def kappa_bound(self) -> float:
@@ -128,22 +133,23 @@ KernelSpec = Union[GaussianKernel, MercerKernel]
 class KernelMatrix:
     """Normalized kernel matrix with entries k(X_i, X_j) / n, stored densely.
 
-    Entries are frozen after construction; both the matrix and its size
-    are safe to share across threads.
+    Entries are copied and frozen on construction; both the matrix and its
+    size are safe to share across threads. ``copy=False`` freezes
+    ``entries`` in place instead, for an array that nothing else holds.
     """
 
     entries: np.ndarray
     n: int
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+    def __post_init__(self, copy):
+        entries = _float_array(self.entries, copy)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInput(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] != self.n:
             raise InvalidInput(
                 f"n={self.n} does not match entries shape {entries.shape}"
             )
-        entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -174,14 +180,17 @@ class FactoredKernel:
 
     For a Mercer kernel with eigenfunction matrix Phi at n points and
     eigenvalues xi, B = Phi * sqrt(xi / n) has one column per mode, so a
-    matvec costs O(n * modes) and the n x n matrix is never formed.
+    matvec costs O(n * modes) and the n x n matrix is never formed. The
+    factor is copied and frozen on construction; ``copy=False`` freezes it
+    in place instead, for an array that nothing else holds.
     """
 
     factor: np.ndarray
     n: int
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        factor = np.array(self.factor, dtype=float)
+    def __post_init__(self, copy):
+        factor = _float_array(self.factor, copy)
         if factor.ndim != 2 or factor.shape[0] != self.n:
             raise InvalidInput(
                 f"factor must have n={self.n} rows, got shape {factor.shape}"
@@ -194,7 +203,8 @@ class FactoredKernel:
         """Factor of the normalized Mercer kernel matrix from its eigenfunction matrix."""
         basis = np.asarray(basis, dtype=float)
         n = basis.shape[0]
-        return cls(factor=basis * np.sqrt(np.asarray(eigenvalues) / n), n=n)
+        factor = basis * np.sqrt(np.asarray(eigenvalues) / n)
+        return cls(factor=factor, n=n, copy=False)
 
     def matvec(self, v) -> np.ndarray:
         """K @ v = B @ (B.T @ v) for a vector or a matrix of column vectors."""
@@ -209,9 +219,15 @@ class FactoredKernel:
 KernelOperator = Union[KernelMatrix, FactoredKernel]
 
 
+def _float_array(a, copy: bool) -> np.ndarray:
+    return np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
+
+
 def _symmetrized(g: np.ndarray) -> KernelMatrix:
     n = g.shape[0]
-    return KernelMatrix(entries=(g + g.T) / (2.0 * n), n=n)
+    entries = g + g.T
+    entries /= 2.0 * n
+    return KernelMatrix(entries=entries, n=n, copy=False)
 
 
 def _points(points) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, NumericalFailure
 from .kernels import FactoredKernel, KernelMatrix, KernelOperator, KernelSpec
@@ -261,6 +260,10 @@ def ridge_fit(K: KernelMatrix, Y, lam: float) -> RidgeSolution:
     if not lam > 0:
         raise InvalidInput(f"lambda must be positive, got {lam}")
     y = _check_system(K, Y)
+    # Imported here: scipy.linalg adds about 0.25 s to start-up and no
+    # subcommand solves a dense ridge system.
+    import scipy.linalg
+
     a = K.entries + lam * np.eye(K.n)
     factor = scipy.linalg.cho_factor(a, lower=True)
     alpha = scipy.linalg.cho_solve(factor, y)

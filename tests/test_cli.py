@@ -340,3 +340,31 @@ def test_module_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "m_hat=" in proc.stdout
     assert (out / "fit.json").exists()
+
+
+COLD_PATH_SCRIPT = """
+import json, sys
+import kernelcg
+from kernelcg import cli
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main([name, "--config", cfg, "--out", f"{out}/{name}", "--quiet"])
+    for name in ("fit", "simulate", "rates", "holdout", "compare")
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_subcommands_never_import_scipy(tmp_path):
+    # scipy adds about 0.5 s to every start-up; only ridge_fit and the
+    # effective-dimension tail bound need it, and no subcommand calls them.
+    cfg_path = write_config(tmp_path, inner_dict())
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_SCRIPT, cfg_path, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["scipy"] == []

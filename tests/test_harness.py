@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from kernelcg.harness import (
     write_plot_tsv,
     write_rows_csv,
     write_summary_json,
+    write_text_atomic,
 )
 
 REDUCED_INNER = (
@@ -427,3 +430,17 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[1].startswith("n,rep,seed,cg_m_hat")
         assert len(lines) == 2 + len(report.records)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    def test_artifact_mode_matches_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("x\n")
+            write_text_atomic(str(tmp_path / "artifact.csv"), "x\n")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "artifact.csv").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv", "plain.txt"]

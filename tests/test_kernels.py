@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import (
+    FactoredKernel,
     GaussianKernel,
     InvalidInput,
     KernelMatrix,
     MercerKernel,
+    build_factored_kernel,
     build_kernel_matrix,
     kn_inner,
 )
@@ -62,6 +64,84 @@ class TestKernelSpecs:
         lost = small.kappa_bound
         full = MercerKernel(decay_exponent=2.0, truncation=200_000).kappa_bound
         assert full - lost <= small.kappa_tail
+
+
+def reference_basis(kernel: MercerKernel, x) -> np.ndarray:
+    """The eigenfunction matrix by the plain formula, one temporary per step."""
+    x = np.asarray(x, dtype=float).ravel()
+    j = np.arange(1, kernel.truncation + 1, dtype=float)
+    cos_part = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, j))
+    if kernel.include_constant:
+        return np.hstack([np.ones((x.size, 1)), cos_part])
+    return cos_part
+
+
+def assert_frozen(a: np.ndarray) -> None:
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 99.0
+
+
+class TestOperatorBuild:
+    """The in-place builds agree bit for bit with the plain formulas."""
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=450),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_basis_matches_formula(self, n, truncation, include_constant, seed):
+        kernel = MercerKernel(2.0, truncation, include_constant=include_constant)
+        x = np.random.default_rng(seed).random(n)
+        phi = kernel.basis(x)
+        assert phi.shape == (n, kernel.n_modes)
+        assert np.array_equal(phi, reference_basis(kernel, x))
+
+    @pytest.mark.parametrize("include_constant", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 37, 1000])
+    def test_basis_edge_and_large_sizes(self, n, include_constant):
+        kernel = MercerKernel(1.5, 400, include_constant=include_constant)
+        x = np.concatenate(([0.0, 1.0], np.random.default_rng(n).random(n)))[:n]
+        assert np.array_equal(kernel.basis(x), reference_basis(kernel, x))
+
+    @pytest.mark.parametrize("include_constant", [True, False])
+    def test_operators_match_formulas_and_are_frozen(self, include_constant):
+        kernel = MercerKernel(2.0, 120, include_constant=include_constant)
+        x = np.random.default_rng(5).random(64)
+        phi, xi, n = reference_basis(kernel, x), kernel.eigenvalues(), x.size
+        g = (phi * xi) @ phi.T
+        dense = (g + g.T) / (2.0 * n)
+        factor = phi * np.sqrt(xi / n)
+
+        for K in (build_kernel_matrix(x, kernel), KernelMatrix.from_basis(phi, xi)):
+            assert np.array_equal(K.entries, dense)
+            assert_frozen(K.entries)
+        F = FactoredKernel.from_basis(phi, xi)
+        assert np.array_equal(F.factor, factor)
+        assert_frozen(F.factor)
+        assert np.array_equal(build_factored_kernel(x, kernel).factor, factor)
+        # from_basis reads the caller's basis and leaves it as it was
+        assert phi.flags.writeable
+        assert np.array_equal(phi, reference_basis(kernel, x))
+
+    def test_constructors_copy_caller_arrays(self):
+        rng = np.random.default_rng(6)
+        entries = rng.standard_normal((4, 4))
+        factor = rng.standard_normal((4, 3))
+        K = KernelMatrix(entries=entries, n=4)
+        F = FactoredKernel(factor=factor, n=4)
+        kept_entries, kept_factor = entries.copy(), factor.copy()
+        v = rng.standard_normal(4)
+        before = K.matvec(v), F.matvec(v)
+        entries[:] = 0.0
+        factor[:] = 0.0
+        assert entries.flags.writeable and factor.flags.writeable
+        assert np.array_equal(K.entries, kept_entries)
+        assert np.array_equal(F.factor, kept_factor)
+        assert np.array_equal(K.matvec(v), before[0])
+        assert np.array_equal(F.matvec(v), before[1])
 
 
 class TestBuildKernelMatrix:
