@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, error_norm
-from .kernels import FactoredKernel, KernelMatrix, KernelOperator
+from .kernels import FactoredKernel
 from .solvers import CgTrace, cg_fit, ridge_path
 from .stopping import (
     ThresholdParams,
@@ -45,6 +45,11 @@ from .synth import (
 #: within a few dozen iterations at desk scale, and full-length traces
 #: on the largest grids would dominate the runtime.
 HOLDOUT_MAX_ITER = 64
+
+#: Iteration budget of ``compare``'s plain-residual run. It ends at its first
+#: iterate as accurate as the weighted stop, and a run that never gets there
+#: reports its best iterate within this budget.
+COMPARE_MAX_ITER = 64
 
 #: Number of ridge penalties in the comparison grid (log-spaced).
 RIDGE_GRID_SIZE = 20
@@ -373,8 +378,9 @@ class ReplicateFit:
     unlabeled points with padded responses in the outer regime, only the
     training part of the split under hold-out stopping. ``basis`` is the
     model's eigenfunction matrix at ``points``, evaluated once and shared by
-    the operator and every error norm. ``omega`` is the discrepancy
-    threshold, None under hold-out stopping.
+    the operator, the hold-out predictions and every error norm. ``K`` is
+    the rank-(J+1) factored operator under either stopping rule.
+    ``omega`` is the discrepancy threshold, None under hold-out stopping.
     """
 
     n: int
@@ -383,7 +389,7 @@ class ReplicateFit:
     points: np.ndarray
     y: np.ndarray
     basis: np.ndarray
-    K: KernelOperator
+    K: FactoredKernel
     trace: CgTrace
     m_hat: int
     omega: float | None
@@ -400,9 +406,11 @@ class ReplicateFit:
 def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
     """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
 
-    Under the discrepancy rule CG ends at the stop index, so the trace holds
-    ``m_hat + 1`` iterates. Raises InvalidInput when the hold-out split leaves
-    no training data, and NumericalFailure from the solver.
+    Both rules run CG on the factored operator. Under the discrepancy rule CG
+    ends at the stop index, so the trace holds ``m_hat + 1`` iterates; under
+    hold-out it runs up to ``HOLDOUT_MAX_ITER`` iterates, all of which the
+    rule reads. Raises InvalidInput when the hold-out split leaves no
+    training data, and NumericalFailure from the solver.
     """
     seed = derive_seed(cfg.master_seed, n, rep)
     outer = cfg.regime == "outer"
@@ -412,32 +420,28 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         y = sample.Y_padded
     else:
         x, y = sample.X_labeled, sample.Y
+    if cfg.stopping == "holdout":
+        n_val = max(1, round(cfg.holdout_fraction * n))
+        if n_val >= n:
+            raise InvalidInput(
+                f"holdout fraction {cfg.holdout_fraction} leaves no training data at n={n}"
+            )
+        x, x_val = x[: n - n_val], x[n - n_val :]
+        y, y_val = y[: n - n_val], y[n - n_val :]
 
+    phi = model.kernel.basis(x)
+    K = FactoredKernel.from_basis(phi, model.eigenvalues)
     if cfg.stopping == "discrepancy":
         omega = _threshold_for(cfg, model, n)
-        phi = model.kernel.basis(x)
-        K = FactoredKernel.from_basis(phi, model.eigenvalues)
         trace = cg_fit(K, y, max_iter=x.size, stop=lambda m, res, a: res < omega)
         m_hat = discrepancy_stop(trace, omega)
-        return ReplicateFit(n, rep, seed, x, y, phi, K, trace, m_hat, omega)
-
-    n_val = max(1, round(cfg.holdout_fraction * n))
-    if n_val >= n:
-        raise InvalidInput(
-            f"holdout fraction {cfg.holdout_fraction} leaves no training data at n={n}"
+    else:
+        omega = None
+        trace = cg_fit(K, y, max_iter=min(x.size, HOLDOUT_MAX_ITER))
+        m_hat = holdout_select(
+            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, train_basis=phi
         )
-    x_train, x_val = x[: n - n_val], x[n - n_val :]
-    y_train, y_val = y[: n - n_val], y[n - n_val :]
-    # Hold-out reads every iterate up to HOLDOUT_MAX_ITER. Without
-    # reorthogonalization, iterates past about ten steps depend on rounding,
-    # so this path keeps the dense operator and the dense path's results.
-    phi = model.kernel.basis(x_train)
-    K = KernelMatrix.from_basis(phi, model.eigenvalues)
-    trace = cg_fit(K, y_train, max_iter=min(x_train.size, HOLDOUT_MAX_ITER))
-    m_hat = holdout_select(
-        trace, model.kernel, x_train, x_val, y_val, M_clip=model.noise.M, train_basis=phi
-    )
-    return ReplicateFit(n, rep, seed, x_train, y_train, phi, K, trace, m_hat, None)
+    return ReplicateFit(n, rep, seed, x, y, phi, K, trace, m_hat, omega)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -573,7 +577,7 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
             sq = lambda a: fit.squared_error(model, 0.0, a)
             cg_error = fit.squared_error(model, 0.0)
 
-            budget = min(fit.points.size, max(HOLDOUT_MAX_ITER, 2 * (fit.m_hat + 1)))
+            budget = min(fit.points.size, COMPARE_MAX_ITER)
             errs: list[float] = []
 
             def matched(m, res, alpha):

@@ -153,16 +153,6 @@ class KernelMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_basis(cls, basis, eigenvalues) -> "KernelMatrix":
-        """Dense matrix of a Mercer kernel from its eigenfunction matrix.
-
-        Bit-identical to ``build_kernel_matrix`` on the points ``basis`` was
-        evaluated at, without evaluating the basis again.
-        """
-        basis = np.asarray(basis, dtype=float)
-        return _symmetrized((basis * eigenvalues) @ basis.T)
-
     def matvec(self, v) -> np.ndarray:
         """K @ v for a vector or a matrix of column vectors."""
         return self.entries @ v

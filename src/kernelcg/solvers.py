@@ -4,7 +4,10 @@
 coefficient vector minimizing the kernel-weighted residual seminorm over the
 Krylov space span{Y, KY, ..., K^(m-1)Y}. The ``euclidean`` mode swaps every
 weighted inner product for the plain rescaled Euclidean one, which is the
-classical minimum-error / partial-least-squares variant. ``krylov_oracle``
+classical minimum-error / partial-least-squares variant. The recursion
+reorthogonalizes every new direction against all earlier ones, so late
+iterates do not depend on rounding, and two operators for the same matrix
+give the same trace up to the conditioning of the solve. ``krylov_oracle``
 solves the same minimization by explicit basis construction and dense least
 squares; it is deliberately independent of the recursion so the two can
 check each other. Both take either kernel operator. ``ridge_fit`` solves one
@@ -26,6 +29,10 @@ Mode = Literal["kn_norm", "euclidean"]
 
 #: Breakdown is declared when a basis norm falls to this fraction of the first.
 BREAKDOWN_RTOL = 1e-12
+
+#: ``krylov_oracle`` treats a new Krylov vector as dependent when its part
+#: orthogonal to the basis so far is at most this fraction of its norm.
+ORACLE_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,12 @@ def cg_fit(
 ) -> CgTrace:
     """Run the conjugate-gradient recursion and record every iterate up to the stop.
 
+    Each new search direction is projected twice against all stored
+    directions in the mode's inner product (full reorthogonalization), so
+    the directions stay orthonormal to rounding however long the run. The
+    stored directions take three n-vectors per iteration run (two in
+    ``euclidean`` mode).
+
     Parameters
     ----------
     K : KernelMatrix or FactoredKernel
@@ -146,6 +159,14 @@ def cg_fit(
     d = y.copy()
     t = kr.copy()  # t = K @ d throughout
 
+    # The k normalized directions so far: dirs[0, j] = d_j, dirs[1, j] = t_j
+    # and, in the weighted mode, dirs[2, j] = K t_j, so dirs[-1, :k] @ v / n
+    # are the mode inner products of v with every t_j. Capacity doubles with
+    # the iterations actually run, from a size that does not depend on
+    # max_iter, so a stopped run grows exactly like a full one.
+    dirs = np.empty((3 if weighted else 2, 8, n))
+    k = 0
+
     alphas = [alpha.copy()]
     residual_norms = [mode_norm(r, kr)]
     basis_norms: list[float] = []
@@ -169,9 +190,13 @@ def cg_fit(
             breakdown_at = i
             break
 
-        t = t / s
-        d = d / s
-        kt = kt / s
+        t /= s
+        d /= s
+        kt /= s
+        if k == dirs.shape[1]:
+            dirs = np.concatenate([dirs, np.empty_like(dirs)], axis=1)
+        dirs[:, k] = (d, t, kt) if weighted else (d, t)
+        k += 1
 
         # Projecting the current residual is algebraically identical to
         # projecting the full response (earlier basis vectors are orthogonal
@@ -202,6 +227,13 @@ def cg_fit(
         beta = float(kt @ kr) / n if weighted else float(t @ kr) / n
         d = r - beta * d
         t = kr - beta * t  # equals K @ d by linearity
+        # Full reorthogonalization: two Gram-Schmidt passes against every
+        # stored direction in the mode's inner product. The same
+        # coefficients come off d, so t = K @ d still holds.
+        for _ in range(2):
+            c = dirs[-1, :k] @ t / n
+            d -= c @ dirs[0, :k]
+            t -= c @ dirs[1, :k]
 
     return CgTrace(
         alphas=np.array(alphas),
@@ -216,11 +248,13 @@ def cg_fit(
 def krylov_oracle(K: KernelOperator, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
     """Directly minimize the mode's residual norm over the order-m Krylov space.
 
-    Forms the power basis {Y, KY, ..., K^(m-1)Y} explicitly, orthonormalizes
-    it with rank detection, and solves the reduced least-squares problem
-    densely. The weighted mode measures residuals through the operator's
-    ``sqrt_matvec``. Rank-deficient bases are truncated to their numerical
-    dimension, so m beyond the reachable space returns the terminal solution.
+    Builds an orthonormal basis of {Y, KY, ..., K^(m-1)Y} one Krylov vector
+    at a time, each Gram-Schmidt orthogonalized twice, and solves the reduced
+    least-squares problem densely. The weighted mode measures residuals
+    through the operator's ``sqrt_matvec``. The basis stops growing when a
+    new vector lies in the span of the previous ones to within
+    ``ORACLE_RANK_RTOL`` of its norm, so m beyond the reachable space returns
+    the terminal solution.
     """
     if mode not in ("kn_norm", "euclidean"):
         raise InvalidInput(f"mode must be 'kn_norm' or 'euclidean', got {mode!r}")
@@ -232,19 +266,19 @@ def krylov_oracle(K: KernelOperator, Y, m: int, mode: Mode = "kn_norm") -> np.nd
     if m == 0 or not np.any(y):
         return np.zeros(n)
 
-    cols = [y]
-    for _ in range(min(m, n) - 1):
-        cols.append(K.matvec(cols[-1]))
-    v = np.column_stack(cols)
-    # Guard against overflow/underflow across powers before rank detection.
-    scale = np.linalg.norm(v, axis=0)
-    scale[scale == 0] = 1.0
-    v = v / scale
-
-    u_full, sv, _ = np.linalg.svd(v, full_matrices=False)
-    tol = sv[0] * max(v.shape) * np.finfo(float).eps
-    rank = int(np.sum(sv > tol))
-    u = u_full[:, :rank]
+    cols: list[np.ndarray] = []
+    v = y
+    for _ in range(min(m, n)):
+        w = v.copy()
+        for _ in range(2):
+            for q in cols:
+                w -= (q @ w) * q
+        norm = float(np.linalg.norm(w))
+        if norm <= ORACLE_RANK_RTOL * float(np.linalg.norm(v)):
+            break
+        cols.append(w / norm)
+        v = K.matvec(cols[-1])
+    u = np.column_stack(cols)
 
     ku = K.matvec(u)
     if mode == "euclidean":

@@ -245,7 +245,9 @@ def holdout_select(
     are clamped to [-M_clip, M_clip], and the index with the smallest mean
     squared validation error wins; ties break toward the smallest index.
     ``train_basis``, when given, is ``kernel.basis(train_points)`` of a
-    ``MercerKernel`` evaluated once by the caller.
+    ``MercerKernel`` evaluated once by the caller; predictions then go
+    through each iterate's eigenfunction coefficients, and no
+    validation-by-training matrix is formed.
     """
     val_x = np.asarray(val_points, dtype=float).ravel()
     val_y = np.asarray(val_labels, dtype=float).ravel()
@@ -260,12 +262,14 @@ def holdout_select(
     x = np.asarray(train_points, dtype=float).ravel()
     if train_basis is None:
         cross = kernel.gram(val_x, x) / x.size
+        preds = trace.alphas @ cross.T  # (m_last + 1, n_val)
     elif train_basis.shape != (x.size, kernel.n_modes):
         raise InvalidInput(f"train_basis shape {train_basis.shape} does not fit {x.size} points")
     else:
-        # The product MercerKernel.gram forms, with the training basis reused.
-        cross = (kernel.basis(val_x) * kernel.eigenvalues()) @ train_basis.T / x.size
-    preds = trace.alphas @ cross.T  # (m_last + 1, n_val)
+        # Through the spectrum: each iterate's coefficients on the
+        # eigenfunctions, so no n_val x n_train matrix is formed.
+        spectra = (trace.alphas @ train_basis) * (kernel.eigenvalues() / x.size)
+        preds = spectra @ kernel.basis(val_x).T
     clipped = np.clip(preds, -M_clip, M_clip)
     losses = np.mean((clipped - val_y) ** 2, axis=1)
     return int(np.argmin(losses))
