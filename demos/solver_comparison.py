@@ -3,8 +3,10 @@
 
 On shared samples, the weighted run stops by the calibrated threshold; the
 plain-residual variant reports the first iteration reaching the same accuracy;
-ridge reports its best penalty from a 20-point log grid, all 20 solutions
-taken from one thin SVD of the kernel factor.
+ridge reports its best penalty from a 20-point log grid. The plain-residual
+run and all 20 ridge solutions work on the (J+1) x (J+1) Gram matrix
+G = B.T B of the kernel factor, the ridge grid from one eigendecomposition
+of G.
 """
 
 from kernelcg import CompareReport, ExperimentConfig, UniformBounded, compare_solvers

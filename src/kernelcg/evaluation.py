@@ -126,6 +126,28 @@ def _check_theta(model: MercerModel, theta: float) -> None:
         )
 
 
+def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
+    """Theta-norm distance from the target of the estimator with these eigen-coefficients.
+
+    ``spectrum`` holds the estimator's coefficients on the model's
+    eigenfunctions, as ``estimator_spectrum`` returns them; for the factor
+    B = Phi * sqrt(xi / n) of a factored kernel it is sqrt(xi / n) * c with
+    c = B.T alpha. The sum of eigenvalue**(-2 theta) * (coefficient gap)**2
+    is compensated, and exact-zero gaps are skipped before weighting.
+    """
+    _check_theta(model, theta)
+    spectrum = np.asarray(spectrum, dtype=float)
+    if spectrum.shape != model.eigenvalues.shape:
+        raise InvalidInput(
+            f"spectrum has shape {spectrum.shape}, the model "
+            f"{model.eigenvalues.size} modes"
+        )
+    delta = spectrum - model.target_coeffs
+    nonzero = delta != 0.0
+    terms = model.eigenvalues[nonzero] ** (-2.0 * theta) * delta[nonzero] ** 2
+    return math.sqrt(max(kahan_sum(terms), 0.0))
+
+
 def error_norm(
     alpha,
     train_points,
@@ -169,14 +191,9 @@ def error_norm(
 
     if method == "spectral":
         c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel, basis=basis)
-        delta = c_hat - model.target_coeffs
-        xi = model.eigenvalues
-        nonzero = delta != 0.0
-        terms = xi[nonzero] ** (-2.0 * theta) * delta[nonzero] ** 2
-        sq = kahan_sum(terms)
         return ErrorReport(
             theta=float(theta),
-            error_value=math.sqrt(max(sq, 0.0)),
+            error_value=spectral_error(c_hat, model, theta),
             method="spectral",
             truncation_note=0.0,
         )

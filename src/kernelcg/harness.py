@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .evaluation import ERROR_FLOOR, error_norm
+from .evaluation import ERROR_FLOOR, estimator_spectrum, spectral_error
 from .kernels import FactoredKernel
-from .solvers import CgTrace, cg_fit, ridge_path
+from .solvers import CgTrace, GramSystem, cg_fit, gram_fit, ridge_path
 from .stopping import (
     ThresholdParams,
     discrepancy_stop,
@@ -370,17 +370,24 @@ def _threshold_for(cfg: ExperimentConfig, model, n: int) -> float:
     return threshold_outer(params).omega
 
 
+def _squared_error(spectrum, model: MercerModel, theta: float) -> float:
+    err = spectral_error(spectrum, model, theta)
+    return err * err
+
+
 @dataclass(frozen=True)
 class ReplicateFit:
-    """One seeded replicate: its design, CG trace and stop index.
+    """One seeded replicate: its design, CG trace, stop index and stopped estimator.
 
     ``points``, ``y`` and ``K`` are the system CG ran on: labeled plus
     unlabeled points with padded responses in the outer regime, only the
-    training part of the split under hold-out stopping. ``basis`` is the
-    model's eigenfunction matrix at ``points``, evaluated once and shared by
-    the operator, the hold-out predictions and every error norm. ``K`` is
-    the rank-(J+1) factored operator under either stopping rule.
-    ``omega`` is the discrepancy threshold, None under hold-out stopping.
+    training part of the split under hold-out stopping. ``K`` is the
+    rank-(J+1) factored operator B B.T under either stopping rule. Under the
+    discrepancy rule ``trace`` is ``cg_fit``'s, with rows alpha_m; under
+    hold-out it is ``gram_fit``'s, with rows c_m = B.T alpha_m. ``spectrum``
+    holds the stopped estimator's coefficients on the model's
+    eigenfunctions, which fix every error norm. ``omega`` is the discrepancy
+    threshold, None under hold-out stopping.
     """
 
     n: int
@@ -388,28 +395,27 @@ class ReplicateFit:
     seed: int
     points: np.ndarray
     y: np.ndarray
-    basis: np.ndarray
     K: FactoredKernel
     trace: CgTrace
     m_hat: int
     omega: float | None
+    spectrum: np.ndarray
 
-    def squared_error(self, model: MercerModel, theta: float, alpha=None) -> float:
-        """Squared theta-norm distance from the target of ``alpha``, by default
-        the stopped iterate."""
-        if alpha is None:
-            alpha = self.trace.alphas[self.m_hat]
-        err = error_norm(alpha, self.points, model, theta, basis=self.basis).error_value
-        return err * err
+    def squared_error(self, model: MercerModel, theta: float) -> float:
+        """Squared theta-norm distance of the stopped estimator from the target."""
+        return _squared_error(self.spectrum, model, theta)
 
 
 def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
     """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
 
-    Both rules run CG on the factored operator. Under the discrepancy rule CG
-    ends at the stop index, so the trace holds ``m_hat + 1`` iterates; under
-    hold-out it runs up to ``HOLDOUT_MAX_ITER`` iterates, all of which the
-    rule reads. Raises InvalidInput when the hold-out split leaves no
+    The eigenfunctions at the design are evaluated once, for the factored
+    operator and the stopped estimator's spectrum. Under the discrepancy
+    rule ``cg_fit`` runs on the factor and ends at the stop index, so the
+    trace holds ``m_hat + 1`` iterates. Under hold-out, ``gram_fit`` runs up
+    to ``HOLDOUT_MAX_ITER`` weighted steps on G = B.T B, and the rule
+    predicts the validation points from every iterate's spectrum
+    sqrt(xi / n) * c_m. Raises InvalidInput when the hold-out split leaves no
     training data, and NumericalFailure from the solver.
     """
     seed = derive_seed(cfg.master_seed, n, rep)
@@ -435,13 +441,16 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         omega = _threshold_for(cfg, model, n)
         trace = cg_fit(K, y, max_iter=x.size, stop=lambda m, res, a: res < omega)
         m_hat = discrepancy_stop(trace, omega)
+        spectrum = estimator_spectrum(trace.alphas[m_hat], x, model, basis=phi)
     else:
         omega = None
-        trace = cg_fit(K, y, max_iter=min(x.size, HOLDOUT_MAX_ITER))
+        trace = gram_fit(GramSystem.from_factor(K, y), max_iter=min(x.size, HOLDOUT_MAX_ITER))
+        spectra = trace.alphas * np.sqrt(model.eigenvalues / x.size)
         m_hat = holdout_select(
-            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, train_basis=phi
+            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, spectra=spectra
         )
-    return ReplicateFit(n, rep, seed, x, y, phi, K, trace, m_hat, omega)
+        spectrum = spectra[m_hat]
+    return ReplicateFit(n, rep, seed, x, y, K, trace, m_hat, omega, spectrum)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -558,12 +567,15 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
     The weighted run always stops by the discrepancy rule, whatever
-    ``cfg.stopping`` says; the plain-residual run ends at the first
-    iteration matching that accuracy (or runs its whole budget and reports
-    its best iteration when it never does); ridge reports its best penalty
-    from a log-spaced grid, solved in one pass by ``ridge_path``. All errors
-    are squared prediction-norm distances, squared as in
-    ``ReplicateFit.squared_error``.
+    ``cfg.stopping`` says, and is ``fit_replicate``'s run on the factor, so
+    its errors equal the rate sweep's. The plain-residual run and the ridge
+    grid run on the replicate's Gram system G = B.T B (``gram_fit`` and
+    ``ridge_path``), and their errors come from the spectra
+    sqrt(xi / n) * c. The plain-residual run ends at the first iteration
+    matching the weighted run's accuracy (or runs its whole budget and
+    reports its best iteration when it never does); ridge reports its best
+    penalty from a log-spaced grid. All errors are squared prediction-norm
+    distances, squared as in ``ReplicateFit.squared_error``.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
@@ -574,22 +586,24 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
             fit = fit_replicate(discrepancy_cfg, model, n, rep)
-            sq = lambda a: fit.squared_error(model, 0.0, a)
             cg_error = fit.squared_error(model, 0.0)
+            system = GramSystem.from_factor(fit.K, fit.y)
+            scale = np.sqrt(model.eigenvalues / fit.points.size)
+            sq = lambda c: _squared_error(scale * c, model, 0.0)
 
             budget = min(fit.points.size, COMPARE_MAX_ITER)
             errs: list[float] = []
 
-            def matched(m, res, alpha):
-                errs.append(sq(alpha))
+            def matched(m, res, c):
+                errs.append(sq(c))
                 return errs[-1] <= cg_error
 
-            cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean", stop=matched)
+            gram_fit(system, max_iter=budget, mode="euclidean", stop=matched)
             cgme_matched = errs[-1] <= cg_error
             cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
 
             ridge_lambda, ridge_error = min(
-                zip(lam_grid, map(sq, ridge_path(fit.K, fit.y, lam_grid))),
+                zip(lam_grid, map(sq, ridge_path(system, lam_grid))),
                 key=lambda t: t[1],
             )
             records.append(
@@ -606,6 +620,8 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
                     ridge_error=ridge_error,
                 )
             )
+            # Free this replicate's factor before the next one builds its own.
+            del fit, system
 
     medians = []
     for n in cfg.n_grid:

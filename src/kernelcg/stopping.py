@@ -237,16 +237,18 @@ def holdout_select(
     val_points,
     val_labels,
     M_clip: float,
-    train_basis: np.ndarray | None = None,
+    spectra: np.ndarray | None = None,
 ) -> int:
     """Iteration whose clipped predictor best fits held-out data.
 
     Every recorded iterate is evaluated on the validation points, predictions
     are clamped to [-M_clip, M_clip], and the index with the smallest mean
     squared validation error wins; ties break toward the smallest index.
-    ``train_basis``, when given, is ``kernel.basis(train_points)`` of a
-    ``MercerKernel`` evaluated once by the caller; predictions then go
-    through each iterate's eigenfunction coefficients, and no
+    ``spectra``, when given, holds one row per recorded iterate: its
+    coefficients on the eigenfunctions of a ``MercerKernel``, as
+    ``estimator_spectrum`` returns them (sqrt(xi / n) * c_m for a
+    ``gram_fit`` trace). Predictions then go through them: the values of the
+    trace's rows and the training points are not read, and no
     validation-by-training matrix is formed.
     """
     val_x = np.asarray(val_points, dtype=float).ravel()
@@ -259,16 +261,15 @@ def holdout_select(
         )
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
-    x = np.asarray(train_points, dtype=float).ravel()
-    if train_basis is None:
+    if spectra is None:
+        x = np.asarray(train_points, dtype=float).ravel()
         cross = kernel.gram(val_x, x) / x.size
         preds = trace.alphas @ cross.T  # (m_last + 1, n_val)
-    elif train_basis.shape != (x.size, kernel.n_modes):
-        raise InvalidInput(f"train_basis shape {train_basis.shape} does not fit {x.size} points")
+    elif spectra.shape != (len(trace.alphas), kernel.n_modes):
+        raise InvalidInput(
+            f"spectra shape {spectra.shape} does not fit {len(trace.alphas)} iterates"
+        )
     else:
-        # Through the spectrum: each iterate's coefficients on the
-        # eigenfunctions, so no n_val x n_train matrix is formed.
-        spectra = (trace.alphas @ train_basis) * (kernel.eigenvalues() / x.size)
         preds = spectra @ kernel.basis(val_x).T
     clipped = np.clip(preds, -M_clip, M_clip)
     losses = np.mean((clipped - val_y) ** 2, axis=1)

@@ -356,8 +356,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.sp
 
 
 def test_subcommands_never_import_scipy(tmp_path):
-    # scipy adds about 0.5 s to every start-up; only ridge_fit and the
-    # effective-dimension tail bound need it, and no subcommand calls them.
+    # scipy adds about 0.5 s to every start-up; only the effective-dimension
+    # tail bound needs it, and no subcommand calls it.
     cfg_path = write_config(tmp_path, inner_dict())
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, cfg_path, str(tmp_path / "out")],

@@ -26,6 +26,7 @@ from kernelcg import (
     kn_inner,
     make_model,
     predict,
+    spectral_error,
 )
 
 INNER = make_model(s=0.5, r=1.0, rho=1.0, truncation=60)
@@ -172,6 +173,20 @@ class TestErrorNorm:
             assert backward == pytest.approx(forward, rel=1e-12)
             report = error_norm(alpha, x, INNER, theta=theta)
             assert report.error_value**2 == pytest.approx(forward, rel=1e-12)
+
+    def test_spectral_error_is_error_norm_of_the_spectrum(self):
+        rng = np.random.Generator(np.random.Philox(29))
+        x = rng.random(30)
+        alpha = rng.normal(0.0, 1.0, 30)
+        c_hat = estimator_spectrum(alpha, x, INNER)
+        for theta in (0.0, 0.25, 0.5):
+            report = error_norm(alpha, x, INNER, theta=theta)
+            assert spectral_error(c_hat, INNER, theta) == report.error_value
+        assert spectral_error(INNER.target_coeffs, INNER, 0.5) == 0.0
+        with pytest.raises(InvalidInput):
+            spectral_error(c_hat[:-1], INNER, 0.0)
+        with pytest.raises(InvalidInput):
+            spectral_error(c_hat, OUTER, 0.25)
 
     def test_h_norm_matches_quadratic_form(self):
         # theta = 1/2 distance to the zero function is the H-norm of the

@@ -2,13 +2,16 @@
 
 The factored operator K = B B.T is the operator of every replicate; the
 dense ``KernelMatrix`` and ``krylov_oracle`` are the independent
-references. Points are uniform draws, spectra those of the shipped configs.
+references. The Gram-space solvers (``gram_fit``, ``ridge_path``) are
+checked against ``cg_fit`` on the factor and against dense solves. Points
+are uniform draws, spectra those of the shipped configs.
 """
 
 from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 from kernelcg import (
     FactoredKernel,
     GaussianKernel,
+    GramSystem,
+    InvalidInput,
     NotReached,
     Unsupported,
     build_factored_kernel,
@@ -26,11 +31,12 @@ from kernelcg import (
     cg_fit,
     discrepancy_stop,
     eval_target,
+    gram_fit,
     kn_inner,
     krylov_oracle,
     ridge_path,
 )
-from kernelcg.harness import ExperimentConfig, fit_replicate
+from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -183,11 +189,84 @@ def test_oracle_on_factored_operator_matches_cg(case, mode):
         assert gap <= 1e-8 * (1 + np.linalg.norm(y) / np.sqrt(n)), (m, gap)
 
 
+def krylov_minimizers(system: GramSystem, m_max: int, mode: str) -> list[np.ndarray]:
+    """Exact minimizers over K_m(G, b), m = 0..m_max, by an explicit
+    orthonormal basis and a dense solve; independent of any recursion."""
+    G, b = system.G, system.b
+    cols: list[np.ndarray] = []
+    out = [np.zeros(b.size)]
+    v = b
+    for _ in range(m_max):
+        w = v.copy()
+        for _ in range(2):
+            for q in cols:
+                w -= (q @ w) * q
+        cols.append(w / np.linalg.norm(w))
+        v = G @ cols[-1]
+        u = np.column_stack(cols)
+        if mode == "euclidean":
+            out.append(u @ np.linalg.solve(u.T @ G @ u, u.T @ b))
+        else:
+            out.append(u @ np.linalg.lstsq(G @ u, b, rcond=None)[0])
+    return out
+
+
+# gram_fit's row c_m must equal B.T alpha_m from cg_fit on the factor, at
+# every m <= min(64, n/2) both reach. Largest gaps over 400 draws of 64 to
+# 1600 points: 2.3e-8 in kn_norm mode, and 4.4e-9 in euclidean mode on the
+# J=400 spectra. On the J=120 spectra from about n=500, cg_fit's Euclidean
+# recursion drifts from the exact Krylov minimizer by up to 1.1e-4 past
+# m=50 (its n-vectors carry the part of Y outside the range of B, which
+# dwarfs the reachable residual), while gram_fit stays within 3.3e-12 of it
+# (4.5e-13 to 3.3e-12 over the same draws, every spectrum); there the test
+# checks gram_fit against the explicit-basis minimizer instead. Both runs
+# reach the rounding floor on the J=120 spectra at large n and may then end
+# a few steps apart (up to 7 in 400 draws); the extra steps lower the
+# residual by at most 1.8e-8 of its start.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(MODEL_NAMES),
+    st.integers(64, 1600),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["kn_norm", "euclidean"]),
+)
+def test_gram_fit_matches_cg_fit_on_the_factor(name, n, seed, mode):
+    model = SHIPPED[name]
+    x, y = draw(n, seed, model)
+    factored = build_factored_kernel(x, model.kernel)
+    system = GramSystem.from_factor(factored, y)
+    budget = min(64, n // 2)
+    ref = cg_fit(factored, y, max_iter=budget, mode=mode)
+    fast = gram_fit(system, max_iter=budget, mode=mode)
+    assert fast.mode == ref.mode == mode
+    if fast.m_last != ref.m_last:
+        short, long = sorted((fast, ref), key=lambda t: t.m_last)
+        assert short.breakdown_at == short.m_last + 1
+        extra = long.residual_norms[short.m_last] - long.residual_norms[-1]
+        assert extra <= 1e-7 * long.residual_norms[0], (short.m_last, long.m_last)
+    common = min(fast.m_last, ref.m_last)
+    ref_c = ref.alphas[: common + 1] @ factored.factor
+    exact = None
+    for m in range(1, common + 1):
+        gap = rel(fast.alphas[m], ref_c[m])
+        if mode == "euclidean" and gap > 1e-7:
+            if exact is None:
+                exact = krylov_minimizers(system, common, mode)
+            assert rel(ref_c[m], exact[m]) > 1e-8, m
+            assert rel(fast.alphas[m], exact[m]) <= 1e-10, m
+        else:
+            assert gap <= 1e-7, m
+    assert fast.residual_norms[: common + 1] == pytest.approx(
+        ref.residual_norms[: common + 1], rel=1e-6, abs=1e-8 * ref.residual_norms[0]
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(MODEL_NAMES), st.booleans(), st.integers(0, 2**32 - 1))
 def test_ridge_path_matches_dense_solve(name, wide, seed):
-    # wide: fewer points than modes, so the factor has full row rank;
-    # otherwise K is singular and (Y - U U.T Y) / lam carries the null space.
+    # wide: fewer points than modes, so K is nonsingular; otherwise K is
+    # singular and G = B.T B is, with eigenvalues down to about 1e-18 when n
+    # is near the number of modes.
     model = SHIPPED[name]
     modes = model.eigenvalues.size
     rng = np.random.default_rng(seed)
@@ -195,11 +274,47 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     x, y = draw(n, seed, model)
     factored, dense = operators(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
-    path = ridge_path(factored, y, lams)
-    assert path.shape == (lams.size, n)
-    for lam, alpha in zip(lams, path):
-        direct = np.linalg.solve(dense.entries + lam * np.eye(n), y)
-        assert rel(alpha, direct) <= 1e-8, lam
+    path = ridge_path(GramSystem.from_factor(factored, y), lams)
+    assert path.shape == (lams.size, modes)
+    assert np.all(np.isfinite(path))
+    for lam, c in zip(lams, path):
+        direct = factored.factor.T @ np.linalg.solve(dense.entries + lam * np.eye(n), y)
+        assert rel(c, direct) <= 1e-8, lam
+
+
+def test_negative_weighted_residual_ends_the_run_as_a_breakdown():
+    # On this draw the recursively updated r @ K r of the weighted mode turns
+    # negative at m=60 (rounding floor); it used to be clipped and recorded
+    # as a residual of exactly 0.0.
+    model = SHIPPED["inner_small"]
+    rng = np.random.default_rng(32)
+    n = int(rng.integers(200, 700))
+    x = rng.random(n)
+    y = eval_target(model, x) + rng.uniform(-0.5, 0.5, n)
+    trace = cg_fit(build_factored_kernel(x, model.kernel), y, max_iter=64)
+    assert n == 639
+    assert (trace.m_last, trace.breakdown_at) == (59, 60)
+    assert min(trace.residual_norms) > 0.0
+
+
+def test_gram_system_is_frozen_and_validated():
+    model = SHIPPED[MODEL_NAMES[0]]
+    K = build_factored_kernel([0.1, 0.4, 0.9], model.kernel)
+    system = GramSystem.from_factor(K, [1.0, 2.0, 3.0])
+    modes = model.eigenvalues.size
+    assert system.G.shape == (modes, modes) and system.b.shape == (modes,)
+    assert (system.yy, system.n) == (14.0, 3)
+    with pytest.raises(ValueError):
+        system.G[0, 0] = 1.0
+    with pytest.raises(InvalidInput):
+        GramSystem.from_factor(K, np.ones(4))
+    with pytest.raises(InvalidInput):
+        GramSystem(G=np.eye(3), b=np.ones(2), yy=1.0, n=5)
+    with pytest.raises(InvalidInput):
+        gram_fit(system, mode="plain")
+    with pytest.raises(InvalidInput):
+        gram_fit(system, max_iter=-1)
+    assert gram_fit(system, max_iter=10).m_last <= 3
 
 
 def test_factored_operator_is_frozen_and_validated():
@@ -213,7 +328,7 @@ def test_factored_operator_is_frozen_and_validated():
     with pytest.raises(Unsupported):
         build_factored_kernel([0.1, 0.2], GaussianKernel(bandwidth=0.5))
     with pytest.raises(ValueError):
-        ridge_path(K, np.ones(3), [0.0])
+        ridge_path(GramSystem.from_factor(K, np.ones(3)), [0.0])
 
 
 @pytest.mark.parametrize(
@@ -237,3 +352,30 @@ def test_replicate_never_forms_an_n_by_n_array(stopping):
         tracemalloc.stop()
     assert isinstance(fit.K, FactoredKernel)
     assert peak < n * n * 8 / 4, peak
+
+
+def test_compare_allocates_no_more_than_its_weighted_fit():
+    # The plain-residual run and the ridge grid work on the (J+1) x (J+1)
+    # Gram system, and each replicate is freed before the next, so compare's
+    # peak is that of its weighted replicate fit; a thin SVD of the factor
+    # (or an n-vector CG history) would add n x (J+1) arrays on top.
+    # Measured at n=1500, J=40: 1.004 times the fit's peak (3.2 times with
+    # the SVD path).
+    d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
+    d["model"]["J"] = 40
+    cfg = replace(ExperimentConfig.from_dict(d), n_grid=(1499, 1500), replicates=1)
+    model = cfg.model()
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_fit = lambda: fit_replicate(cfg, model, 1500, 0).squared_error(model, 0.0)
+    run_fit()  # first-call allocations would inflate the reference
+    fit_peak = peak(run_fit)
+    compare_peak = peak(lambda: compare_solvers(cfg))
+    assert compare_peak <= 1.05 * fit_peak, (compare_peak, fit_peak)

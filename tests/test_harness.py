@@ -15,17 +15,21 @@ import pytest
 
 from kernelcg import (
     FactoredKernel,
+    GramSystem,
     InvalidInput,
     UniformBounded,
+    build_factored_kernel,
     build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
     draw_sample,
     error_norm,
     eval_target,
+    gram_fit,
     holdout_select,
     make_model,
-    ridge_fit,
+    ridge_path,
+    spectral_error,
 )
 from kernelcg.harness import (
     COMPARE_MAX_ITER,
@@ -322,6 +326,8 @@ class TestFitReplicate:
         assert max(stops) > 0
 
     def test_holdout_stop_matches_select_on_the_gram_matrix(self):
+        """The Gram-space hold-out stop equals the choice among cg_fit's
+        iterates on the same factor, predicted through the cross kernel."""
         cfg = inner_config(stopping="holdout", holdout_fraction=0.25)
         model = cfg.model()
         for rep in range(cfg.replicates):
@@ -329,10 +335,13 @@ class TestFitReplicate:
             sample = draw_sample(model, 64, seed=fit.seed)
             n_train = fit.points.size
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
+            reference = cg_fit(fit.K, fit.y, max_iter=HOLDOUT_MAX_ITER)
             expected = holdout_select(
-                fit.trace, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M
+                reference, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M
             )
             assert fit.m_hat == expected
+            scale = np.sqrt(model.eigenvalues / n_train)
+            assert np.allclose(fit.spectrum, scale * fit.trace.alphas[fit.m_hat])
 
 
 class TestCompareSolvers:
@@ -346,10 +355,11 @@ class TestCompareSolvers:
         for rec in report.records:
             fit = fit_replicate(cfg, model, rec.n, rec.rep)
             budget = min(fit.points.size, COMPARE_MAX_ITER)
-            euclid = cg_fit(fit.K, fit.y, max_iter=budget, mode="euclidean")
+            system = GramSystem.from_factor(fit.K, fit.y)
+            euclid = gram_fit(system, max_iter=budget, mode="euclidean")
+            scale = np.sqrt(model.eigenvalues / fit.points.size)
             errs = [
-                fit.squared_error(model, 0.0, euclid.alphas[m])
-                for m in range(euclid.m_last + 1)
+                spectral_error(scale * c, model, 0.0) ** 2 for c in euclid.alphas
             ]
             matched = [m for m, e in enumerate(errs) if e <= rec.cg_error]
             cgme_m = matched[0] if matched else int(np.argmin(errs))
@@ -382,10 +392,13 @@ class TestCompareSolvers:
         K = build_kernel_matrix(x, model.kernel)
         trace = cg_fit(K, y, max_iter=32)
         cg_sq = error_norm(trace.alphas[trace.m_last], x, model, 0.0).error_value ** 2
-        ridge_sq = error_norm(
-            ridge_fit(K, y, 1e-10).alpha, x, model, 0.0
-        ).error_value ** 2
+        direct = np.linalg.solve(K.entries + 1e-10 * np.eye(K.n), y)
+        ridge_sq = error_norm(direct, x, model, 0.0).error_value ** 2
         assert ridge_sq <= 4.0 * cg_sq + 1e-12
+        system = GramSystem.from_factor(build_factored_kernel(x, model.kernel), y)
+        (c,) = ridge_path(system, [1e-10])
+        path_sq = spectral_error(np.sqrt(model.eigenvalues / x.size) * c, model, 0.0) ** 2
+        assert path_sq <= 4.0 * cg_sq + 1e-12
 
 
 class TestWriters:

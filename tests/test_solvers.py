@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from kernelcg import (
+    FactoredKernel,
+    GramSystem,
     InvalidInput,
     KernelMatrix,
     MercerKernel,
@@ -11,7 +13,7 @@ from kernelcg import (
     kn_inner,
     krylov_oracle,
     predict,
-    ridge_fit,
+    ridge_path,
 )
 
 DIAG = KernelMatrix(entries=np.diag([1.0, 0.5]), n=2)
@@ -185,34 +187,48 @@ class TestTraceInvariants:
         assert a.basis_norms == b.basis_norms
 
 
+def gram_of(K: KernelMatrix, y) -> tuple[np.ndarray, GramSystem]:
+    """A factor B of the dense matrix (K = B B.T) and its Gram system."""
+    B = np.linalg.cholesky(K.entries)
+    return B, GramSystem.from_factor(FactoredKernel(factor=B, n=K.n), y)
+
+
 class TestRidge:
+    """``ridge_path`` rows are B.T (K + lam I)^-1 Y, checked against dense solves."""
+
     def test_diag_hand_inversion(self):
-        sol = ridge_fit(DIAG, ONES, lam=1.0)
-        assert sol.alpha == pytest.approx([0.5, 2 / 3], rel=1e-14)
+        B, system = gram_of(DIAG, ONES)
+        (c,) = ridge_path(system, [1.0])
+        assert c == pytest.approx(B.T @ [0.5, 2 / 3], rel=1e-14)
 
     def test_rejects_nonpositive_lambda(self):
+        _, system = gram_of(DIAG, ONES)
         with pytest.raises(InvalidInput):
-            ridge_fit(DIAG, ONES, lam=0.0)
+            ridge_path(system, [1.0, 0.0])
         with pytest.raises(InvalidInput):
-            ridge_fit(DIAG, ONES, lam=-0.5)
+            ridge_path(system, [-0.5])
 
     def test_huge_lambda_limit(self):
-        sol = ridge_fit(DIAG, ONES, lam=1e12)
-        assert np.linalg.norm(sol.alpha) <= 2 * np.linalg.norm(ONES) / 1e12
+        _, system = gram_of(DIAG, ONES)
+        (c,) = ridge_path(system, [1e12])
+        assert np.linalg.norm(c) <= 2 * np.linalg.norm(system.b) / 1e12
 
     def test_tiny_lambda_approaches_inverse(self):
         K, y = random_psd_system(23, 6)
-        sol = ridge_fit(K, y, lam=1e-12)
-        direct = np.linalg.solve(K.entries, y)
-        assert sol.alpha == pytest.approx(direct, rel=1e-6)
+        B, system = gram_of(K, y)
+        (c,) = ridge_path(system, [1e-12])
+        assert c == pytest.approx(B.T @ np.linalg.solve(K.entries, y), rel=1e-6)
 
     def test_residual_invariant(self):
         for seed in range(5):
             K, y = random_psd_system(seed + 300, 10)
+            B, system = gram_of(K, y)
             lam = 10.0 ** (-seed)
-            sol = ridge_fit(K, y, lam)
-            resid = (K.entries + lam * np.eye(10)) @ sol.alpha - y
-            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(y)
+            (c,) = ridge_path(system, [lam])
+            resid = (system.G + lam * np.eye(10)) @ c - system.b
+            assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(system.b)
+            direct = np.linalg.solve(K.entries + lam * np.eye(10), y)
+            assert np.linalg.norm(c - B.T @ direct) <= 1e-10 * np.linalg.norm(B.T @ direct)
 
 
 class TestPredict:

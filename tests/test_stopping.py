@@ -277,13 +277,13 @@ class TestHoldoutSelect:
         with pytest.raises(InvalidInput):
             holdout_select(trace, self.KERNEL, x, [], [], M_clip=1.0)
 
-    def test_train_basis_spares_the_training_points(self, monkeypatch):
+    def test_spectra_spare_the_training_points(self, monkeypatch):
         x, y, trace = self._fitted_trace(seed=7)
         rng = np.random.default_rng(13)
         val_x = rng.random(9)
         val_y = np.sin(2 * np.pi * val_x)
         expected = holdout_select(trace, self.KERNEL, x, val_x, val_y, M_clip=1.0)
-        phi = self.KERNEL.basis(x)
+        spectra = (trace.alphas @ self.KERNEL.basis(x)) * (self.KERNEL.eigenvalues() / x.size)
         sizes = []
         basis = MercerKernel.basis
 
@@ -293,17 +293,17 @@ class TestHoldoutSelect:
 
         monkeypatch.setattr(MercerKernel, "basis", counted)
         got = holdout_select(
-            trace, self.KERNEL, x, val_x, val_y, M_clip=1.0, train_basis=phi
+            trace, self.KERNEL, None, val_x, val_y, M_clip=1.0, spectra=spectra
         )
         assert got == expected
         assert sizes == [val_x.size]
 
-    def test_rejects_mismatched_train_basis(self):
+    def test_rejects_mismatched_spectra(self):
         x, y, trace = self._fitted_trace()
-        with pytest.raises(InvalidInput, match="train_basis shape"):
+        spectra = np.zeros((trace.m_last, self.KERNEL.n_modes))
+        with pytest.raises(InvalidInput, match="spectra shape"):
             holdout_select(
-                trace, self.KERNEL, x, [0.5], [0.0], M_clip=1.0,
-                train_basis=self.KERNEL.basis(x[:-1]),
+                trace, self.KERNEL, x, [0.5], [0.0], M_clip=1.0, spectra=spectra
             )
 
     def test_monotone_loss_transform_invariance(self):
