@@ -157,7 +157,6 @@ def error_norm(
     method: str = "auto",
     mc_samples: int = MC_SAMPLES_DEFAULT,
     mc_seed: int = 20_250_101,
-    basis: np.ndarray | None = None,
 ) -> ErrorReport:
     """Distance between the fitted expansion and the model target.
 
@@ -178,9 +177,6 @@ def error_norm(
         "auto" picks spectral whenever the expansion kernel admits it.
     mc_samples, mc_seed : int
         Monte-Carlo draw count and seed (counter-based generator).
-    basis : ndarray, optional
-        ``model.kernel.basis(train_points)``, to spare the spectral route
-        evaluating it again.
     """
     _check_theta(model, theta)
     if method not in ("auto", "spectral", "monte_carlo"):
@@ -190,7 +186,7 @@ def error_norm(
         method = "monte_carlo" if gaussian_fit else "spectral"
 
     if method == "spectral":
-        c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel, basis=basis)
+        c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel)
         return ErrorReport(
             theta=float(theta),
             error_value=spectral_error(c_hat, model, theta),

@@ -224,8 +224,7 @@ def discrepancy_stop(trace: CgTrace, omega: float) -> int:
     for m, res in enumerate(trace.residual_norms):
         if res < omega:
             return m
-    n = trace.alphas.shape[1]
-    if trace.breakdown_at is not None or trace.m_last >= n:
+    if trace.breakdown_at is not None or trace.m_last >= trace.n:
         return trace.m_last
     raise NotReached(trace.m_last, trace.residual_norms[-1])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +143,10 @@ def test_deep_iterates_match_dense_in_spectral_coefficients(case, mode):
 
 
 # The stop only ends the loop; the recursion is untouched, so the stopped
-# trace must be the unstopped one cut at its stop, bit for bit.
+# trace must be the unstopped one cut at its stop, bit for bit. The Gram
+# system's runs are those of compare's PLS run and of hold-out; on the
+# J=120 and J=400 spectra its traces have more columns than the n <= 300
+# rows, so discrepancy_stop must read the trace's n.
 @settings(max_examples=25, deadline=None)
 @given(
     cases.filter(lambda c: c[1] <= 300),
@@ -153,10 +157,12 @@ def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
     name, n, seed = case
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
-    for K in operators(x, model):
-        full = cg_fit(K, y, mode=mode)
+    factored, dense = operators(x, model)
+    system = GramSystem.from_factor(factored, y)
+    for fit in (partial(cg_fit, factored, y), partial(cg_fit, dense, y), partial(gram_fit, system)):
+        full = fit(mode=mode)
         omega = 10.0**log_scale * full.residual_norms[0]
-        stopped = cg_fit(K, y, mode=mode, stop=lambda m, res, a: res < omega)
+        stopped = fit(mode=mode, stop=lambda m, res, a: res < omega)
         m = stopped.m_last
         assert np.array_equal(stopped.alphas, full.alphas[: m + 1])
         assert np.array_equal(stopped.residual_norms, full.residual_norms[: m + 1])
@@ -187,6 +193,30 @@ def test_oracle_on_factored_operator_matches_cg(case, mode):
         diff = trace.alphas[m] - oracle
         gap = np.sqrt(max(kn_inner(diff, diff, factored), 0.0))
         assert gap <= 1e-8 * (1 + np.linalg.norm(y) / np.sqrt(n)), (m, gap)
+
+
+# A run that took all n steps has exhausted its Krylov space, so
+# discrepancy_stop returns its last index even when no residual beats omega.
+# A gram_fit trace has a column per mode, here 121 against n = 12 rows. Near
+# the full space either run may instead break down a step early (in 21% to
+# 35% of 200 draws, by run and mode), which also ends in its last index.
+@pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
+def test_exhausted_gram_trace_stops_where_cg_fit_stops(mode):
+    model = SHIPPED["inner_small"]
+    both_full = 0
+    for seed in range(10):
+        x, y = draw(12, seed, model)
+        factored = build_factored_kernel(x, model.kernel)
+        ref = cg_fit(factored, y, mode=mode)
+        fast = gram_fit(GramSystem.from_factor(factored, y), mode=mode)
+        assert discrepancy_stop(fast, 1e-300) == fast.m_last
+        assert discrepancy_stop(ref, 1e-300) == ref.m_last
+        for trace in (ref, fast):
+            assert trace.breakdown_at is not None or trace.m_last == trace.n == 12
+        if ref.breakdown_at is None and fast.breakdown_at is None:
+            both_full += 1
+            assert discrepancy_stop(fast, 1e-300) == discrepancy_stop(ref, 1e-300) == 12
+    assert both_full >= 3
 
 
 def krylov_minimizers(system: GramSystem, m_max: int, mode: str) -> list[np.ndarray]:

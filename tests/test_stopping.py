@@ -166,7 +166,7 @@ class FakeTrace:
         self.residual_norms = list(residual_norms)
         self.m_last = len(self.residual_norms) - 1
         self.breakdown_at = breakdown_at
-        self.alphas = np.zeros((len(self.residual_norms), n or 10))
+        self.n = n or 10
 
 
 class TestDiscrepancyStop:
