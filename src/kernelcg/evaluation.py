@@ -3,8 +3,8 @@
 Because synthetic targets are finite combinations of the kernel's own
 eigenfunctions, the distance between an estimator and the target reduces to
 a weighted coefficient sum that is exact up to float rounding. The weights
-grow like eigenvalue**(-2*theta), so sums are compensated and exact-zero
-terms are skipped before weighting.
+grow like eigenvalue**(-2*theta), so sums are correctly rounded
+(``math.fsum``) and exact-zero terms are skipped before weighting.
 """
 
 from __future__ import annotations
@@ -70,30 +70,17 @@ class EffectiveDimension:
         return self.truncated_sum + self.tail_bound
 
 
-def kahan_sum(values) -> float:
-    """Compensated summation in the given order."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def estimator_spectrum(
     alpha,
     train_points,
     model: MercerModel,
     kernel: KernelSpec | None = None,
-    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coefficients of the kernel expansion in the model's eigenbasis.
 
     The expansion (1/n) * sum_i alpha_i k(X_i, .) has j-th coefficient
-    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i). ``basis``, when given,
-    is ``model.kernel.basis(train_points)`` evaluated once by the caller.
+    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i). Raises Unsupported for a
+    Gaussian ``kernel``, whose expansion has no closed-form spectrum.
     """
     if kernel is not None and isinstance(kernel, GaussianKernel):
         raise Unsupported(
@@ -106,14 +93,7 @@ def estimator_spectrum(
         raise InvalidInput(
             f"dimension mismatch: alpha has {alpha.size}, train has {x.size}"
         )
-    if basis is None:
-        basis = model.kernel.basis(x)
-    elif basis.shape != (x.size, model.eigenvalues.size):
-        raise InvalidInput(
-            f"basis shape {basis.shape} does not match {x.size} points "
-            f"and {model.eigenvalues.size} modes"
-        )
-    return model.eigenvalues * (basis.T @ alpha) / x.size
+    return model.eigenvalues * (model.kernel.basis(x).T @ alpha) / x.size
 
 
 def _check_theta(model: MercerModel, theta: float) -> None:
@@ -133,7 +113,8 @@ def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
     eigenfunctions, as ``estimator_spectrum`` returns them; for the factor
     B = Phi * sqrt(xi / n) of a factored kernel it is sqrt(xi / n) * c with
     c = B.T alpha. The sum of eigenvalue**(-2 theta) * (coefficient gap)**2
-    is compensated, and exact-zero gaps are skipped before weighting.
+    is correctly rounded (``math.fsum``), and exact-zero gaps are skipped
+    before weighting.
     """
     _check_theta(model, theta)
     spectrum = np.asarray(spectrum, dtype=float)
@@ -145,7 +126,7 @@ def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
     delta = spectrum - model.target_coeffs
     nonzero = delta != 0.0
     terms = model.eigenvalues[nonzero] ** (-2.0 * theta) * delta[nonzero] ** 2
-    return math.sqrt(max(kahan_sum(terms), 0.0))
+    return math.sqrt(max(math.fsum(terms.tolist()), 0.0))
 
 
 def error_norm(
@@ -235,7 +216,7 @@ def effective_dimension(
     xi = np.asarray(eigenvalues, dtype=float).ravel()
     if xi.size == 0:
         raise InvalidInput("eigenvalues must be non-empty")
-    truncated = kahan_sum(xi / (xi + lam))
+    truncated = math.fsum((xi / (xi + lam)).tolist())
     tail = 0.0
     if tail_decay is not None:
         if tail_from is None:

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .evaluation import ERROR_FLOOR, estimator_spectrum, spectral_error
-from .kernels import FactoredKernel
-from .solvers import CgTrace, GramSystem, cg_fit, gram_fit, ridge_path
+from .evaluation import ERROR_FLOOR, spectral_error
+from .solvers import CgTrace, GramSystem, gram_fit, ridge_path
 from .stopping import (
     ThresholdParams,
     discrepancy_stop,
@@ -225,27 +224,35 @@ class ExperimentConfig:
             if "fraction" not in stopping_raw:
                 raise InvalidInput("stopping field 'fraction' is required for holdout")
             stopping = "holdout"
-            holdout_fraction = float(stopping_raw["fraction"])
+            holdout_fraction = _field("stopping.fraction", float, stopping_raw["fraction"])
         else:
             stopping = str(stopping_raw)
         return ExperimentConfig(
-            s=float(model["s"]),
-            r=float(model["r"]),
-            rho=float(model["rho"]),
-            J=int(model["J"]),
-            noise=noise_from_dict(model["noise"]),
+            s=_field("model.s", float, model["s"]),
+            r=_field("model.r", float, model["r"]),
+            rho=_field("model.rho", float, model["rho"]),
+            J=_field("model.J", int, model["J"]),
+            noise=_field("model.noise", noise_from_dict, model["noise"]),
             regime=str(d["regime"]),
-            n_grid=tuple(int(n) for n in d["n_grid"]),
-            replicates=int(d["replicates"]),
-            gamma=float(d["gamma"]),
-            tau_prime=float(d["tau_prime"]),
-            theta_list=tuple(float(t) for t in d["theta_list"]),
-            master_seed=int(d["master_seed"]),
+            n_grid=_field("n_grid", lambda v: tuple(int(n) for n in v), d["n_grid"]),
+            replicates=_field("replicates", int, d["replicates"]),
+            gamma=_field("gamma", float, d["gamma"]),
+            tau_prime=_field("tau_prime", float, d["tau_prime"]),
+            theta_list=_field("theta_list", lambda v: tuple(float(t) for t in v), d["theta_list"]),
+            master_seed=_field("master_seed", int, d["master_seed"]),
             stopping=stopping,
             holdout_fraction=holdout_fraction,
             threshold=str(d.get("threshold", "calibrated")),
             u_profile=model.get("u_profile", "inverse_index"),
         )
+
+
+def _field(name: str, convert, value):
+    """``convert(value)``; a malformed value is an InvalidInput naming field ``name``."""
+    try:
+        return convert(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"config field {name!r} is invalid ({value!r}): {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -379,15 +386,14 @@ def _squared_error(spectrum, model: MercerModel, theta: float) -> float:
 class ReplicateFit:
     """One seeded replicate: its design, CG trace, stop index and stopped estimator.
 
-    ``points``, ``y`` and ``K`` are the system CG ran on: labeled plus
+    ``points``, ``y`` and ``system`` are what CG ran on: labeled plus
     unlabeled points with padded responses in the outer regime, only the
-    training part of the split under hold-out stopping. ``K`` is the
-    rank-(J+1) factored operator B B.T under either stopping rule. Under the
-    discrepancy rule ``trace`` is ``cg_fit``'s, with rows alpha_m; under
-    hold-out it is ``gram_fit``'s, with rows c_m = B.T alpha_m. ``spectrum``
-    holds the stopped estimator's coefficients on the model's
-    eigenfunctions, which fix every error norm. ``omega`` is the discrepancy
-    threshold, None under hold-out stopping.
+    training part of the split under hold-out stopping. ``system`` is the
+    (J+1) x (J+1) Gram system of the factor B = Phi * sqrt(xi / n), and the
+    rows of ``trace`` are c_m = B.T alpha_m under either stopping rule.
+    ``spectrum`` = sqrt(xi / n) * c_m_hat holds the stopped estimator's
+    coefficients on the model's eigenfunctions, which fix every error norm.
+    ``omega`` is the discrepancy threshold, None under hold-out stopping.
     """
 
     n: int
@@ -395,7 +401,7 @@ class ReplicateFit:
     seed: int
     points: np.ndarray
     y: np.ndarray
-    K: FactoredKernel
+    system: GramSystem
     trace: CgTrace
     m_hat: int
     omega: float | None
@@ -409,11 +415,11 @@ class ReplicateFit:
 def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
     """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
 
-    The eigenfunctions at the design are evaluated once, for the factored
-    operator and the stopped estimator's spectrum. Under the discrepancy
-    rule ``cg_fit`` runs on the factor and ends at the stop index, so the
-    trace holds ``m_hat + 1`` iterates. Under hold-out, ``gram_fit`` runs up
-    to ``HOLDOUT_MAX_ITER`` weighted steps on G = B.T B, and the rule
+    The eigenfunctions at the design are evaluated once, into the Gram
+    system G = B.T B, b = B.T y (``GramSystem.from_basis``), and both rules
+    run ``gram_fit`` on it. Under the discrepancy rule the run ends inside
+    the loop at the stop index, so the trace holds ``m_hat + 1`` iterates.
+    Under hold-out it runs up to ``HOLDOUT_MAX_ITER`` steps, and the rule
     predicts the validation points from every iterate's spectrum
     sqrt(xi / n) * c_m. Raises InvalidInput when the hold-out split leaves no
     training data, and NumericalFailure from the solver.
@@ -435,22 +441,20 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         x, x_val = x[: n - n_val], x[n - n_val :]
         y, y_val = y[: n - n_val], y[n - n_val :]
 
-    phi = model.kernel.basis(x)
-    K = FactoredKernel.from_basis(phi, model.eigenvalues)
+    system = GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
+    w = np.sqrt(model.eigenvalues / x.size)
     if cfg.stopping == "discrepancy":
         omega = _threshold_for(cfg, model, n)
-        trace = cg_fit(K, y, max_iter=x.size, stop=lambda m, res, a: res < omega)
+        trace = gram_fit(system, stop=lambda m, res, c: res < omega)
         m_hat = discrepancy_stop(trace, omega)
-        spectrum = estimator_spectrum(trace.alphas[m_hat], x, model, basis=phi)
     else:
         omega = None
-        trace = gram_fit(GramSystem.from_factor(K, y), max_iter=min(x.size, HOLDOUT_MAX_ITER))
-        spectra = trace.alphas * np.sqrt(model.eigenvalues / x.size)
+        trace = gram_fit(system, max_iter=HOLDOUT_MAX_ITER)
         m_hat = holdout_select(
-            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, spectra=spectra
+            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, spectra=trace.alphas * w
         )
-        spectrum = spectra[m_hat]
-    return ReplicateFit(n, rep, seed, x, y, K, trace, m_hat, omega, spectrum)
+    spectrum = w * trace.alphas[m_hat]
+    return ReplicateFit(n, rep, seed, x, y, system, trace, m_hat, omega, spectrum)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateReport:
@@ -479,7 +483,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
                     )
                     for theta in cfg.theta_list
                 ])
-                # Free this replicate's operator and basis before the next one builds its own.
+                # Free this replicate's arrays before the next one draws its own.
                 del fit
             except NumericalFailure as exc:
                 failures.append(
@@ -567,11 +571,11 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
     The weighted run always stops by the discrepancy rule, whatever
-    ``cfg.stopping`` says, and is ``fit_replicate``'s run on the factor, so
-    its errors equal the rate sweep's. The plain-residual run and the ridge
-    grid run on the replicate's Gram system G = B.T B (``gram_fit`` and
-    ``ridge_path``), and their errors come from the spectra
-    sqrt(xi / n) * c. The plain-residual run ends at the first iteration
+    ``cfg.stopping`` says, and is ``fit_replicate``'s run, so its errors
+    equal the rate sweep's. The plain-residual run (``gram_fit`` in
+    ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
+    Gram system, and their errors come from the spectra sqrt(xi / n) * c.
+    The plain-residual run ends at the first iteration
     matching the weighted run's accuracy (or runs its whole budget and
     reports its best iteration when it never does); ridge reports its best
     penalty from a log-spaced grid. All errors are squared prediction-norm
@@ -587,23 +591,21 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
         for rep in range(cfg.replicates):
             fit = fit_replicate(discrepancy_cfg, model, n, rep)
             cg_error = fit.squared_error(model, 0.0)
-            system = GramSystem.from_factor(fit.K, fit.y)
             scale = np.sqrt(model.eigenvalues / fit.points.size)
             sq = lambda c: _squared_error(scale * c, model, 0.0)
 
-            budget = min(fit.points.size, COMPARE_MAX_ITER)
             errs: list[float] = []
 
             def matched(m, res, c):
                 errs.append(sq(c))
                 return errs[-1] <= cg_error
 
-            gram_fit(system, max_iter=budget, mode="euclidean", stop=matched)
+            gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean", stop=matched)
             cgme_matched = errs[-1] <= cg_error
             cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
 
             ridge_lambda, ridge_error = min(
-                zip(lam_grid, map(sq, ridge_path(system, lam_grid))),
+                zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid))),
                 key=lambda t: t[1],
             )
             records.append(
@@ -620,8 +622,8 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
                     ridge_error=ridge_error,
                 )
             )
-            # Free this replicate's factor before the next one builds its own.
-            del fit, system
+            # Free this replicate's arrays before the next one draws its own.
+            del fit
 
     medians = []
     for n in cfg.n_grid:

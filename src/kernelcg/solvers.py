@@ -37,7 +37,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import FactoredKernel, KernelOperator, KernelSpec
+from .kernels import KernelOperator, KernelSpec
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -138,11 +138,25 @@ class GramSystem:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_factor(cls, K: FactoredKernel, Y) -> "GramSystem":
-        """G = B.T B, b = B.T Y and Y @ Y of a factored operator and a response."""
-        y = _check_system(K, Y)
-        B = K.factor
-        return cls(G=B.T @ B, b=B.T @ y, yy=float(y @ y), n=K.n)
+    def from_basis(cls, basis, eigenvalues, Y) -> "GramSystem":
+        """System of the normalized Mercer kernel matrix from its eigenfunction matrix.
+
+        With Phi = ``basis`` at n points and w = sqrt(xi / n), the factor is
+        B = Phi * w, so G = (Phi.T Phi) * w w.T and b = w * (Phi.T Y); the
+        n x modes array B is never formed.
+        """
+        phi = np.asarray(basis, dtype=float)
+        xi = np.asarray(eigenvalues, dtype=float).ravel()
+        y = np.asarray(Y, dtype=float).ravel()
+        if y.size < 1 or phi.shape != (y.size, xi.size):
+            raise InvalidInput(
+                f"basis shape {phi.shape} does not match {y.size} responses "
+                f"and {xi.size} eigenvalues"
+            )
+        w = np.sqrt(xi / y.size)
+        G = phi.T @ phi
+        G *= np.outer(w, w)
+        return cls(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
 
 
 def _check_mode(mode: str) -> None:

@@ -79,6 +79,33 @@ def test_invalid_field_value_is_named(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def with_model(**overrides):
+    d = inner_dict()
+    d["model"].update(overrides)
+    return d
+
+
+@pytest.mark.parametrize(
+    "d, field",
+    [
+        (inner_dict(n_grid=64), "n_grid"),
+        (with_model(s="half"), "model.s"),
+        (inner_dict(replicates=None), "replicates"),
+        (inner_dict(theta_list=[0.0, "x"]), "theta_list"),
+        (with_model(noise={"kind": "uniform_bounded"}), "model.noise"),
+        (with_model(noise=1.0), "model.noise"),
+    ],
+    ids=["n_grid", "model.s", "replicates", "theta_list", "noise_without_M", "noise_number"],
+)
+def test_field_of_the_wrong_type_is_named_without_a_traceback(tmp_path, capsys, d, field):
+    rc = cli.main(["rates", "--config", write_config(tmp_path, d), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:")
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one_not_two(tmp_path, capsys):
     assert cli.main(["frobnicate", "--config", "x", "--out", "y"]) == 1
     assert cli.main(["rates"]) == 1

@@ -22,7 +22,6 @@ from kernelcg import (
     error_norm,
     estimator_spectrum,
     eval_target,
-    kahan_sum,
     kn_inner,
     make_model,
     predict,
@@ -168,8 +167,8 @@ class TestErrorNorm:
             delta = c_hat - INNER.target_coeffs
             mask = delta != 0.0
             terms = INNER.eigenvalues[mask] ** (-2 * theta) * delta[mask] ** 2
-            forward = kahan_sum(terms)
-            backward = kahan_sum(terms[::-1])
+            forward = math.fsum(terms)
+            backward = math.fsum(terms[::-1])
             assert backward == pytest.approx(forward, rel=1e-12)
             report = error_norm(alpha, x, INNER, theta=theta)
             assert report.error_value**2 == pytest.approx(forward, rel=1e-12)
@@ -196,7 +195,7 @@ class TestErrorNorm:
         rng = np.random.Generator(np.random.Philox(42))
         alpha = rng.normal(0.0, 1.0, 35)
         c_hat = estimator_spectrum(alpha, sample.X_labeled, INNER)
-        spectral_sq = kahan_sum(c_hat**2 / INNER.eigenvalues)
+        spectral_sq = math.fsum(c_hat**2 / INNER.eigenvalues)
         quadratic_sq = kn_inner(alpha, alpha, K)
         assert spectral_sq == pytest.approx(quadratic_sq, rel=1e-6)
 
@@ -210,8 +209,8 @@ class TestErrorNorm:
         delta = c_hat - INNER.target_coeffs
         mask = delta != 0.0
         terms = INNER.eigenvalues[mask] ** (-1.0) * delta[mask] ** 2
-        assert kahan_sum(terms[::-1]) == pytest.approx(
-            kahan_sum(terms), rel=1e-12
+        assert math.fsum(terms[::-1]) == pytest.approx(
+            math.fsum(terms), rel=1e-12
         )
 
 

@@ -1,9 +1,9 @@
 """Property tests of the factored kernel operator against the dense matrix.
 
-The factored operator K = B B.T is the operator of every replicate; the
-dense ``KernelMatrix`` and ``krylov_oracle`` are the independent
-references. The Gram-space solvers (``gram_fit``, ``ridge_path``) are
-checked against ``cg_fit`` on the factor and against dense solves. Points
+The factored operator K = B B.T is checked against the dense
+``KernelMatrix`` and ``krylov_oracle``, the independent references. The
+Gram-space solvers (``gram_fit``, ``ridge_path``), on which every replicate
+runs, are checked against ``cg_fit`` on the factor and against dense solves. Points
 are uniform draws, spectra those of the shipped configs.
 """
 
@@ -59,6 +59,10 @@ def operators(x, model):
         build_factored_kernel(x, model.kernel),
         build_kernel_matrix(x, model.kernel),
     )
+
+
+def gram_system(x, y, model) -> GramSystem:
+    return GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
 
 
 def rel(a, b) -> float:
@@ -158,7 +162,7 @@ def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
     factored, dense = operators(x, model)
-    system = GramSystem.from_factor(factored, y)
+    system = gram_system(x, y, model)
     for fit in (partial(cg_fit, factored, y), partial(cg_fit, dense, y), partial(gram_fit, system)):
         full = fit(mode=mode)
         omega = 10.0**log_scale * full.residual_norms[0]
@@ -208,7 +212,7 @@ def test_exhausted_gram_trace_stops_where_cg_fit_stops(mode):
         x, y = draw(12, seed, model)
         factored = build_factored_kernel(x, model.kernel)
         ref = cg_fit(factored, y, mode=mode)
-        fast = gram_fit(GramSystem.from_factor(factored, y), mode=mode)
+        fast = gram_fit(gram_system(x, y, model), mode=mode)
         assert discrepancy_stop(fast, 1e-300) == fast.m_last
         assert discrepancy_stop(ref, 1e-300) == ref.m_last
         for trace in (ref, fast):
@@ -264,7 +268,7 @@ def test_gram_fit_matches_cg_fit_on_the_factor(name, n, seed, mode):
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
     factored = build_factored_kernel(x, model.kernel)
-    system = GramSystem.from_factor(factored, y)
+    system = gram_system(x, y, model)
     budget = min(64, n // 2)
     ref = cg_fit(factored, y, max_iter=budget, mode=mode)
     fast = gram_fit(system, max_iter=budget, mode=mode)
@@ -304,7 +308,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     x, y = draw(n, seed, model)
     factored, dense = operators(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
-    path = ridge_path(GramSystem.from_factor(factored, y), lams)
+    path = ridge_path(gram_system(x, y, model), lams)
     assert path.shape == (lams.size, modes)
     assert np.all(np.isfinite(path))
     for lam, c in zip(lams, path):
@@ -329,15 +333,20 @@ def test_negative_weighted_residual_ends_the_run_as_a_breakdown():
 
 def test_gram_system_is_frozen_and_validated():
     model = SHIPPED[MODEL_NAMES[0]]
-    K = build_factored_kernel([0.1, 0.4, 0.9], model.kernel)
-    system = GramSystem.from_factor(K, [1.0, 2.0, 3.0])
+    x, y = [0.1, 0.4, 0.9], [1.0, 2.0, 3.0]
+    system = gram_system(x, y, model)
     modes = model.eigenvalues.size
     assert system.G.shape == (modes, modes) and system.b.shape == (modes,)
     assert (system.yy, system.n) == (14.0, 3)
+    assert np.array_equal(system.G, system.G.T)
+    B = build_factored_kernel(x, model.kernel).factor
+    assert rel(system.G, B.T @ B) <= 1e-14 and rel(system.b, B.T @ y) <= 1e-14
     with pytest.raises(ValueError):
         system.G[0, 0] = 1.0
-    with pytest.raises(InvalidInput):
-        GramSystem.from_factor(K, np.ones(4))
+    phi = model.kernel.basis(x)
+    for args in ((phi, model.eigenvalues, np.ones(4)), (phi, model.eigenvalues[1:], y)):
+        with pytest.raises(InvalidInput):
+            GramSystem.from_basis(*args)
     with pytest.raises(InvalidInput):
         GramSystem(G=np.eye(3), b=np.ones(2), yy=1.0, n=5)
     with pytest.raises(InvalidInput):
@@ -358,7 +367,7 @@ def test_factored_operator_is_frozen_and_validated():
     with pytest.raises(Unsupported):
         build_factored_kernel([0.1, 0.2], GaussianKernel(bandwidth=0.5))
     with pytest.raises(ValueError):
-        ridge_path(GramSystem.from_factor(K, np.ones(3)), [0.0])
+        ridge_path(gram_system([0.1, 0.4, 0.9], np.ones(3), model), [0.0])
 
 
 @pytest.mark.parametrize(
@@ -373,6 +382,7 @@ def test_replicate_never_forms_an_n_by_n_array(stopping):
     cfg = ExperimentConfig.from_dict(d)
     model = cfg.model()
     n = 1500
+    fit_replicate(cfg, model, 64, 0)  # first-call imports would count as the fit's
     tracemalloc.start()
     try:
         fit = fit_replicate(cfg, model, n, 0)
@@ -380,8 +390,14 @@ def test_replicate_never_forms_an_n_by_n_array(stopping):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(fit.K, FactoredKernel)
+    assert isinstance(fit.system, GramSystem)
     assert peak < n * n * 8 / 4, peak
+    # The basis of the drawn points is the one n x (J+1) array a replicate
+    # needs; the factor B = Phi * sqrt(xi / n) is never formed next to it.
+    # Measured: 1.32 (discrepancy) and 1.30 (hold-out) times its bytes;
+    # forming B next to Phi measured 2.98 and 2.32.
+    basis_bytes = n * model.eigenvalues.size * 8
+    assert peak < 1.6 * basis_bytes, peak / basis_bytes
 
 
 def test_compare_allocates_no_more_than_its_weighted_fit():
@@ -389,7 +405,7 @@ def test_compare_allocates_no_more_than_its_weighted_fit():
     # Gram system, and each replicate is freed before the next, so compare's
     # peak is that of its weighted replicate fit; a thin SVD of the factor
     # (or an n-vector CG history) would add n x (J+1) arrays on top.
-    # Measured at n=1500, J=40: 1.004 times the fit's peak (3.2 times with
+    # Measured at n=1500, J=40: 1.006 times the fit's peak (3.2 times with
     # the SVD path).
     d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
     d["model"]["J"] = 40
@@ -405,7 +421,11 @@ def test_compare_allocates_no_more_than_its_weighted_fit():
             tracemalloc.stop()
 
     run_fit = lambda: fit_replicate(cfg, model, 1500, 0).squared_error(model, 0.0)
-    run_fit()  # first-call allocations would inflate the reference
+    run_compare = lambda: compare_solvers(cfg)
+    # First calls import modules (numpy.ma for compare's medians, about
+    # 0.5 MB), which would count as the runs' own allocations.
+    run_fit()
+    run_compare()
     fit_peak = peak(run_fit)
-    compare_peak = peak(lambda: compare_solvers(cfg))
+    compare_peak = peak(run_compare)
     assert compare_peak <= 1.05 * fit_peak, (compare_peak, fit_peak)

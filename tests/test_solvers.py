@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kernelcg import (
-    FactoredKernel,
     GramSystem,
     InvalidInput,
     KernelMatrix,
@@ -190,7 +189,7 @@ class TestTraceInvariants:
 def gram_of(K: KernelMatrix, y) -> tuple[np.ndarray, GramSystem]:
     """A factor B of the dense matrix (K = B B.T) and its Gram system."""
     B = np.linalg.cholesky(K.entries)
-    return B, GramSystem.from_factor(FactoredKernel(factor=B, n=K.n), y)
+    return B, GramSystem(G=B.T @ B, b=B.T @ y, yy=float(y @ y), n=K.n)
 
 
 class TestRidge:
