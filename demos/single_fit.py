@@ -2,23 +2,22 @@
 """Fit one synthetic sample end to end and show where the iteration stops.
 
 Builds the canonical smooth scenario, draws 256 design points, runs the
-weighted-residual solver on the factored kernel operator (the n x 401
-factor of K, never the 256 x 256 matrix), and stops at the calibrated
-discrepancy threshold. Everything is seeded, so the printed numbers are
+weighted-residual solver on the 401 x 401 Gram system of the kernel (never
+the 256 x 256 matrix), and stops at the calibrated discrepancy threshold. Everything is seeded, so the printed numbers are
 reproducible.
 """
 
 import numpy as np
 
 from kernelcg import (
+    GramSystem,
     ThresholdParams,
     UniformBounded,
-    build_factored_kernel,
-    cg_fit,
     discrepancy_stop,
     draw_sample,
-    error_norm,
+    gram_fit,
     make_model,
+    spectral_error,
     threshold_calibrated,
 )
 
@@ -28,8 +27,9 @@ SEED = 20260801
 model = make_model(s=0.5, r=1.0, rho=1.0, truncation=400, noise=UniformBounded(1.0))
 sample = draw_sample(model, N, seed=SEED)
 
-K = build_factored_kernel(sample.X_labeled, model.kernel)
-trace = cg_fit(K, sample.Y)
+basis = model.kernel.basis(sample.X_labeled)
+system = GramSystem.from_basis(basis, model.eigenvalues, sample.Y)
+trace = gram_fit(system)
 
 params = ThresholdParams(
     M=model.noise.M, kappa=model.kappa, D=model.ed_constant, n=N,
@@ -50,6 +50,9 @@ for m, res in enumerate(trace.residual_norms[: m_hat + 3]):
     marker = "  <- stop" if m == m_hat else ""
     print(f"{m:4d}  {res:.6g}{marker}")
 print()
+# Row m of a Gram-space trace is c_m = B.T alpha_m for B = Phi * sqrt(xi / n);
+# the estimator's eigen-coefficients are sqrt(xi / n) * c_m.
+spectrum = np.sqrt(model.eigenvalues / N) * trace.alphas[m_hat]
 for theta, label in ((0.0, "prediction norm"), (0.5, "RKHS norm")):
-    report = error_norm(trace.alphas[m_hat], sample.X_labeled, model, theta)
-    print(f"error at m_hat, theta={theta:g} ({label}): {report.error_value:.6g}")
+    error = spectral_error(spectrum, model, theta)
+    print(f"error at m_hat, theta={theta:g} ({label}): {error:.6g}")

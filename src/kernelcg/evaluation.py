@@ -70,23 +70,12 @@ class EffectiveDimension:
         return self.truncated_sum + self.tail_bound
 
 
-def estimator_spectrum(
-    alpha,
-    train_points,
-    model: MercerModel,
-    kernel: KernelSpec | None = None,
-) -> np.ndarray:
-    """Coefficients of the kernel expansion in the model's eigenbasis.
+def estimator_spectrum(alpha, train_points, model: MercerModel) -> np.ndarray:
+    """Coefficients of the model kernel's expansion in its eigenbasis.
 
     The expansion (1/n) * sum_i alpha_i k(X_i, .) has j-th coefficient
-    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i). Raises Unsupported for a
-    Gaussian ``kernel``, whose expansion has no closed-form spectrum.
+    eigenvalue_j * (1/n) * sum_i alpha_i phi_j(X_i).
     """
-    if kernel is not None and isinstance(kernel, GaussianKernel):
-        raise Unsupported(
-            "no closed-form spectrum for a translation-invariant kernel; "
-            "use the Monte-Carlo error path"
-        )
     alpha = np.asarray(alpha, dtype=float).ravel()
     x = np.asarray(train_points, dtype=float).ravel()
     if alpha.size != x.size:
@@ -110,9 +99,9 @@ def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
     """Theta-norm distance from the target of the estimator with these eigen-coefficients.
 
     ``spectrum`` holds the estimator's coefficients on the model's
-    eigenfunctions, as ``estimator_spectrum`` returns them; for the factor
-    B = Phi * sqrt(xi / n) of a factored kernel it is sqrt(xi / n) * c with
-    c = B.T alpha. The sum of eigenvalue**(-2 theta) * (coefficient gap)**2
+    eigenfunctions, as ``estimator_spectrum`` returns them; for a
+    ``gram_fit`` iterate c = B.T alpha, with B = Phi * sqrt(xi / n), it is
+    sqrt(xi / n) * c. The sum of eigenvalue**(-2 theta) * (coefficient gap)**2
     is correctly rounded (``math.fsum``), and exact-zero gaps are skipped
     before weighting.
     """
@@ -167,7 +156,12 @@ def error_norm(
         method = "monte_carlo" if gaussian_fit else "spectral"
 
     if method == "spectral":
-        c_hat = estimator_spectrum(alpha, train_points, model, kernel=kernel)
+        if gaussian_fit:
+            raise Unsupported(
+                "no closed-form spectrum for a translation-invariant kernel; "
+                "use the Monte-Carlo error path"
+            )
+        c_hat = estimator_spectrum(alpha, train_points, model)
         return ErrorReport(
             theta=float(theta),
             error_value=spectral_error(c_hat, model, theta),

@@ -99,8 +99,10 @@ class ExperimentConfig:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInput(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.tau_prime > 0:
-            raise InvalidInput(f"tau_prime must be positive, got {self.tau_prime}")
+        if not 0 < self.tau_prime < np.inf:
+            raise InvalidInput(
+                f"tau_prime must be positive and finite, got {self.tau_prime}"
+            )
         thetas = tuple(float(t) for t in self.theta_list)
         object.__setattr__(self, "theta_list", thetas)
         if not thetas:
@@ -224,21 +226,23 @@ class ExperimentConfig:
             if "fraction" not in stopping_raw:
                 raise InvalidInput("stopping field 'fraction' is required for holdout")
             stopping = "holdout"
-            holdout_fraction = _field("stopping.fraction", float, stopping_raw["fraction"])
+            holdout_fraction = _field("stopping.fraction", _finite, stopping_raw["fraction"])
         else:
             stopping = str(stopping_raw)
         return ExperimentConfig(
-            s=_field("model.s", float, model["s"]),
-            r=_field("model.r", float, model["r"]),
-            rho=_field("model.rho", float, model["rho"]),
+            s=_field("model.s", _finite, model["s"]),
+            r=_field("model.r", _finite, model["r"]),
+            rho=_field("model.rho", _finite, model["rho"]),
             J=_field("model.J", int, model["J"]),
             noise=_field("model.noise", noise_from_dict, model["noise"]),
             regime=str(d["regime"]),
             n_grid=_field("n_grid", lambda v: tuple(int(n) for n in v), d["n_grid"]),
             replicates=_field("replicates", int, d["replicates"]),
-            gamma=_field("gamma", float, d["gamma"]),
-            tau_prime=_field("tau_prime", float, d["tau_prime"]),
-            theta_list=_field("theta_list", lambda v: tuple(float(t) for t in v), d["theta_list"]),
+            gamma=_field("gamma", _finite, d["gamma"]),
+            tau_prime=_field("tau_prime", _finite, d["tau_prime"]),
+            theta_list=_field(
+                "theta_list", lambda v: tuple(_finite(t) for t in v), d["theta_list"]
+            ),
             master_seed=_field("master_seed", int, d["master_seed"]),
             stopping=stopping,
             holdout_fraction=holdout_fraction,
@@ -251,8 +255,16 @@ def _field(name: str, convert, value):
     """``convert(value)``; a malformed value is an InvalidInput naming field ``name``."""
     try:
         return convert(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"config field {name!r} is invalid ({value!r}): {exc}") from exc
+
+
+def _finite(value) -> float:
+    """float(value), refusing the Infinity and NaN that Python's JSON parser accepts."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
 
 
 def canonical_json(obj) -> str:

@@ -5,19 +5,20 @@ smoke tests where no spectral structure is needed, and a truncated cosine
 series kernel on [0, 1] whose eigenvalues and eigenfunctions are known in
 closed form. All downstream spectral computations rely on the latter.
 
-Solvers see a kernel through a normalized operator: the dense
-``KernelMatrix`` for any kernel, or the ``FactoredKernel`` of the finite-rank
-cosine kernel, which never forms the n x n matrix.
+Solvers see a kernel through the dense normalized ``KernelMatrix``; the
+finite-rank cosine kernel also has the (J+1) x (J+1) ``solvers.GramSystem``,
+built from its basis without an n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInput, Unsupported
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class KernelMatrix:
     copy: InitVar[bool] = True
 
     def __post_init__(self, copy):
-        entries = _float_array(self.entries, copy)
+        entries = (np.array if copy else np.asarray)(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInput(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] != self.n:
@@ -158,73 +159,17 @@ class KernelMatrix:
         return self.entries @ v
 
     def sqrt_matvec(self, v) -> np.ndarray:
-        """R @ v for the symmetric square root R of K, so |R v|^2 = v.T K v."""
+        """R @ v for a root R of K (R.T @ R = K), so |R v|^2 = v.T K v."""
+        return self._root @ v
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        # R = sqrt(Lambda) Q.T for K = Q Lambda Q.T, one eigendecomposition per
+        # matrix. The symmetric root Q R would spread the sqrt(eps) error of
+        # the eigenvalues near zero over every direction, which put weighted
+        # krylov_oracle iterates about 1e-8 off at m = 32.
         lam, q = np.linalg.eigh(self.entries)
-        root = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
-        return root @ v
-
-
-@dataclass(frozen=True)
-class FactoredKernel:
-    """Normalized kernel matrix K = B B.T of a finite-rank kernel, kept as B.
-
-    For a Mercer kernel with eigenfunction matrix Phi at n points and
-    eigenvalues xi, B = Phi * sqrt(xi / n) has one column per mode, so a
-    matvec costs O(n * modes) and the n x n matrix is never formed. The
-    factor is copied and frozen on construction; ``copy=False`` freezes it
-    in place instead, for an array that nothing else holds.
-    """
-
-    factor: np.ndarray
-    n: int
-    copy: InitVar[bool] = True
-
-    def __post_init__(self, copy):
-        factor = _float_array(self.factor, copy)
-        if factor.ndim != 2 or factor.shape[0] != self.n:
-            raise InvalidInput(
-                f"factor must have n={self.n} rows, got shape {factor.shape}"
-            )
-        factor.setflags(write=False)
-        object.__setattr__(self, "factor", factor)
-
-    @classmethod
-    def from_basis(cls, basis, eigenvalues) -> "FactoredKernel":
-        """Factor of the normalized Mercer kernel matrix from its eigenfunction matrix."""
-        basis = np.asarray(basis, dtype=float)
-        n = basis.shape[0]
-        factor = basis * np.sqrt(np.asarray(eigenvalues) / n)
-        return cls(factor=factor, n=n, copy=False)
-
-    def matvec(self, v) -> np.ndarray:
-        """K @ v = B @ (B.T @ v) for a vector or a matrix of column vectors."""
-        return self.factor @ (self.factor.T @ v)
-
-    def sqrt_matvec(self, v) -> np.ndarray:
-        """B.T @ v, so |B.T v|^2 = v.T K v."""
-        return self.factor.T @ v
-
-
-#: Either kernel operator; solvers use only ``n``, ``matvec`` and ``sqrt_matvec``.
-KernelOperator = Union[KernelMatrix, FactoredKernel]
-
-
-def _float_array(a, copy: bool) -> np.ndarray:
-    return np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
-
-
-def _symmetrized(g: np.ndarray) -> KernelMatrix:
-    n = g.shape[0]
-    entries = g + g.T
-    entries /= 2.0 * n
-    return KernelMatrix(entries=entries, n=n, copy=False)
-
-
-def _points(points) -> np.ndarray:
-    x = np.asarray(points, dtype=float).ravel()
-    if x.size == 0:
-        raise InvalidInput("points must be non-empty")
-    return x
+        return np.sqrt(np.clip(lam, 0.0, None))[:, None] * q.T
 
 
 def build_kernel_matrix(points, kernel: KernelSpec) -> KernelMatrix:
@@ -234,23 +179,16 @@ def build_kernel_matrix(points, kernel: KernelSpec) -> KernelMatrix:
     the result is symmetric bit-exactly regardless of how the kernel
     evaluates its series.
     """
-    x = _points(points)
-    return _symmetrized(kernel.gram(x, x))
+    x = np.asarray(points, dtype=float).ravel()
+    if x.size == 0:
+        raise InvalidInput("points must be non-empty")
+    g = kernel.gram(x, x)
+    entries = g + g.T
+    entries /= 2.0 * x.size
+    return KernelMatrix(entries=entries, n=x.size, copy=False)
 
 
-def build_factored_kernel(points, kernel: MercerKernel) -> FactoredKernel:
-    """Construct the normalized kernel matrix of a Mercer kernel in factored form.
-
-    Agrees with ``build_kernel_matrix`` up to rounding (about 1e-15
-    relative) while storing n * n_modes numbers instead of n * n.
-    """
-    if not isinstance(kernel, MercerKernel):
-        raise Unsupported("only a finite-rank Mercer kernel has a factored form")
-    x = _points(points)
-    return FactoredKernel.from_basis(kernel.basis(x), kernel.eigenvalues())
-
-
-def kn_inner(u, v, K: KernelOperator) -> float:
+def kn_inner(u, v, K: KernelMatrix) -> float:
     """Weighted inner product (1/n) * u.T @ K @ v.
 
     Together with the 1/n already inside the matrix entries this realizes

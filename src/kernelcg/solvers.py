@@ -13,15 +13,15 @@ and the power p:
     gram_fit(G, "euclidean")    G  -1   the same as cg_fit "euclidean"
 
 The recursion reorthogonalizes every new direction against all earlier ones,
-so late iterates do not depend on rounding, and two operators for the same
-matrix give the same trace up to the conditioning of the solve.
+so late iterates do not depend on rounding.
 
-For a factored kernel K = B B.T every residual, error and prediction depends
-on alpha only through c = B.T alpha, and alpha lies in K_m(K, Y) exactly when
-c lies in K_m(G, b), with G = B.T B and b = B.T Y (``GramSystem``). The
-kernel-norm residual is |b - G c|, power 0 on G. The squared Euclidean one,
-Y.Y - 2 b.c + c.G c, differs by a constant from the squared power -1 norm
-of b - G c (G inverted on its range, which holds the Krylov space). So
+For a finite-rank kernel K = B B.T every residual, error and prediction
+depends on alpha only through c = B.T alpha, and alpha lies in K_m(K, Y)
+exactly when c lies in K_m(G, b), with G = B.T B and b = B.T Y
+(``GramSystem``). The kernel-norm residual is |b - G c|, power 0 on G. The
+squared Euclidean one, Y.Y - 2 b.c + c.G c, differs by a constant from the
+squared power -1 norm of b - G c (G inverted on its range, which holds the
+Krylov space). So
 ``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
 ``ridge_path`` solves a whole penalty grid from one eigendecomposition of G.
 ``krylov_oracle`` solves the same minimizations by explicit basis
@@ -37,7 +37,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import KernelOperator, KernelSpec
+from .kernels import KernelMatrix, KernelSpec
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -94,7 +94,7 @@ class CgTrace:
         object.__setattr__(self, "alphas", a)
 
 
-def _check_system(K: KernelOperator, Y) -> np.ndarray:
+def _check_system(K: KernelMatrix, Y) -> np.ndarray:
     y = np.asarray(Y, dtype=float).ravel()
     if y.size != K.n:
         raise InvalidInput(f"dimension mismatch: Y has {y.size}, matrix has {K.n}")
@@ -165,7 +165,7 @@ def _check_mode(mode: str) -> None:
 
 
 def cg_fit(
-    K: KernelOperator,
+    K: KernelMatrix,
     Y,
     max_iter: int | None = None,
     mode: Mode = "kn_norm",
@@ -177,17 +177,19 @@ def cg_fit(
     (``euclidean``). Its reorthogonalization stores three n-vectors per
     iteration run (two in ``euclidean`` mode).
 
-    The ``euclidean`` mode on a ``FactoredKernel`` drifts from the exact
-    Krylov minimizer once n is well above the number of modes: its n-vectors
-    carry the part of Y outside the range of the factor B, which dwarfs the
-    reachable residual. On the J = 120 spectra from n of about 500, B.T alpha_m
-    is off by up to 1.1e-4 relative past m of about 50. ``gram_fit`` on the
-    same factor's ``GramSystem`` stays within 3.3e-12 of the minimizer.
+    The ``euclidean`` mode drifts from the exact Krylov minimizer when K has
+    rank below n, as a finite-rank kernel has once n is well above its
+    number of modes: the n-vectors carry the part of Y outside the range of
+    K, which dwarfs the reachable residual. On the J = 120 cosine spectra
+    from n of about 500, the spectral coefficients of alpha_m are off by up
+    to about 1e-4 relative past m of about 50. ``gram_fit`` on the kernel's
+    ``GramSystem`` stays within 3.3e-12 of the minimizer there; in the
+    ``kn_norm`` mode the two agree to about 5e-8.
 
     Parameters
     ----------
-    K : KernelMatrix or FactoredKernel
-        Normalized kernel operator; only its ``matvec`` is used.
+    K : KernelMatrix
+        Normalized kernel matrix; only its ``matvec`` is used.
     Y : array-like, shape (n,)
         Response vector.
     max_iter : int, optional
@@ -369,13 +371,13 @@ def gram_fit(
     return _recursion(lambda v: G @ v, system.b, system.n, max_iter, power, mode, stop, system.yy)
 
 
-def krylov_oracle(K: KernelOperator, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
+def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
     """Directly minimize the mode's residual norm over the order-m Krylov space.
 
     Builds an orthonormal basis of {Y, KY, ..., K^(m-1)Y} one Krylov vector
     at a time, each Gram-Schmidt orthogonalized twice, and solves the reduced
     least-squares problem densely. The weighted mode measures residuals
-    through the operator's ``sqrt_matvec``. The basis stops growing when a
+    through the matrix's ``sqrt_matvec``. The basis stops growing when a
     new vector lies in the span of the previous ones to within
     ``ORACLE_RANK_RTOL`` of its norm, so m beyond the reachable space returns
     the terminal solution.

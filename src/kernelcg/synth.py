@@ -35,8 +35,8 @@ class UniformBounded:
     M: float
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise InvalidInput(f"noise bound M must be positive, got {self.M}")
+        if not 0 < self.M < math.inf:
+            raise InvalidInput(f"noise bound M must be positive and finite, got {self.M}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class GaussianBernstein:
     M: float
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise InvalidInput(f"noise bound M must be positive, got {self.M}")
+        if not 0 < self.M < math.inf:
+            raise InvalidInput(f"noise bound M must be positive and finite, got {self.M}")
 
 
 NoiseSpec = Union[UniformBounded, GaussianBernstein]
@@ -204,10 +204,10 @@ def make_model(
     """
     if not 0 < s < 1:
         raise InvalidInput(f"s must lie in (0, 1), got {s}")
-    if not r > 0:
-        raise InvalidInput(f"r must be positive, got {r}")
-    if not rho > 0:
-        raise InvalidInput(f"rho must be positive, got {rho}")
+    if not 0 < r < math.inf:
+        raise InvalidInput(f"r must be positive and finite, got {r}")
+    if not 0 < rho < math.inf:
+        raise InvalidInput(f"rho must be positive and finite, got {rho}")
     if truncation < 10:
         raise InvalidInput(f"truncation must be at least 10, got {truncation}")
     if noise is None:

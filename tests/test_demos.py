@@ -1,8 +1,10 @@
-"""Every script under demos/ runs to completion against the current API."""
+"""Every script under demos/, and every Python block of the README, runs to
+completion against the current API."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,21 +13,30 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+# A demo runs as a script in a scratch directory; a README block runs as
+# ``python -c`` from the repository root, where its relative paths point.
+RUNS = [pytest.param([str(p)], id=p.stem) for p in DEMOS] + [
+    pytest.param(["-c", code], id=f"README_block_{i}")
+    for i, code in enumerate(README_BLOCKS, start=1)
+]
 
 
 def test_demos_exist():
     assert len(DEMOS) >= 4
+    assert len(README_BLOCKS) >= 2
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script, tmp_path):
+@pytest.mark.parametrize("args", RUNS)
+def test_demo_runs(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=tmp_path,
+        [sys.executable, *args],
+        cwd=ROOT if args[0] == "-c" else tmp_path,
         env=env,
         capture_output=True,
         text=True,

@@ -76,8 +76,9 @@ class TestEstimatorSpectrum:
 
     def test_gaussian_kernel_rejected(self):
         with pytest.raises(Unsupported):
-            estimator_spectrum(
-                [1.0], [0.5], INNER, kernel=GaussianKernel(bandwidth=0.2)
+            error_norm(
+                [1.0], [0.5], INNER, 0.0, kernel=GaussianKernel(bandwidth=0.2),
+                method="spectral",
             )
 
     def test_dimension_mismatch(self):

@@ -17,7 +17,6 @@ from kernelcg import (
     GramSystem,
     InvalidInput,
     UniformBounded,
-    build_factored_kernel,
     build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
@@ -138,6 +137,10 @@ class TestExperimentConfig:
             outer_config(r=0.2, s=0.2)
         with pytest.raises(InvalidInput, match="theta < r"):
             outer_config(theta_list=(0.25,))
+
+    def test_tau_prime_must_be_finite(self):
+        with pytest.raises(InvalidInput, match="tau_prime must be positive and finite"):
+            inner_config(tau_prime=math.inf)
 
     def test_outer_holdout_rejected(self):
         with pytest.raises(InvalidInput, match="holdout"):
@@ -280,10 +283,10 @@ class TestRunExperiment:
 
 
 class TestFitReplicate:
-    def test_holdout_runs_on_the_factor_and_stops_as_the_dense_path(self):
-        """Hold-out replicates run CG on the factored operator. Reorthogonalized
-        CG makes all of their iterates independent of the operator's rounding,
-        so the stop equals the hold-out choice on a dense-matrix trace."""
+    def test_holdout_runs_on_the_gram_system_and_stops_as_the_dense_path(self):
+        """Hold-out replicates run CG on the Gram system. Reorthogonalized
+        CG makes all of their iterates independent of rounding, so the stop
+        equals the hold-out choice on a dense-matrix trace."""
         cfg = inner_config(stopping="holdout", holdout_fraction=0.25, J=120)
         model = cfg.model()
         for n, rep in itertools.product((64, 128, 512), range(cfg.replicates)):
@@ -301,14 +304,14 @@ class TestFitReplicate:
             assert fit.m_hat == expected, (n, rep)
 
     def test_discrepancy_errors_match_error_norm(self):
-        """The Gram-space stop and errors equal those of cg_fit on the factor
-        with the same stop, measured by error_norm on alpha. The two routes
-        share no arithmetic past the basis: the largest gap was 8.4e-15 on
-        this config's grid, and 3.3e-13 on the shipped configs."""
+        """The Gram-space stop and errors equal those of cg_fit on the dense
+        matrix with the same stop, measured by error_norm on alpha. The two
+        routes share no arithmetic past the basis: the largest gap was
+        1.2e-14 on this config's grid, and 1.0e-13 on the shipped configs."""
         cfg = inner_config()
         model = cfg.model()
         fit = fit_replicate(cfg, model, 64, 1)
-        K = build_factored_kernel(fit.points, model.kernel)
+        K = build_kernel_matrix(fit.points, model.kernel)
         ref = cg_fit(K, fit.y, stop=lambda m, res, a: res < fit.omega)
         assert discrepancy_stop(ref, fit.omega) == fit.m_hat
         alpha = ref.alphas[fit.m_hat]
@@ -333,7 +336,7 @@ class TestFitReplicate:
 
     def test_holdout_stop_matches_select_on_the_gram_matrix(self):
         """The Gram-space hold-out stop equals the choice among cg_fit's
-        iterates on the same factor, predicted through the cross kernel."""
+        iterates on the dense matrix, predicted through the cross kernel."""
         cfg = inner_config(stopping="holdout", holdout_fraction=0.25)
         model = cfg.model()
         for rep in range(cfg.replicates):
@@ -341,7 +344,7 @@ class TestFitReplicate:
             sample = draw_sample(model, 64, seed=fit.seed)
             n_train = fit.points.size
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
-            K = build_factored_kernel(fit.points, model.kernel)
+            K = build_kernel_matrix(fit.points, model.kernel)
             reference = cg_fit(K, fit.y, max_iter=HOLDOUT_MAX_ITER)
             expected = holdout_select(
                 reference, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import (
-    FactoredKernel,
     GaussianKernel,
     InvalidInput,
     KernelMatrix,
     MercerKernel,
-    build_factored_kernel,
     build_kernel_matrix,
     kn_inner,
 )
@@ -113,35 +111,22 @@ class TestOperatorBuild:
         phi, xi, n = reference_basis(kernel, x), kernel.eigenvalues(), x.size
         g = (phi * xi) @ phi.T
         dense = (g + g.T) / (2.0 * n)
-        factor = phi * np.sqrt(xi / n)
 
         K = build_kernel_matrix(x, kernel)
         assert np.array_equal(K.entries, dense)
         assert_frozen(K.entries)
-        F = FactoredKernel.from_basis(phi, xi)
-        assert np.array_equal(F.factor, factor)
-        assert_frozen(F.factor)
-        assert np.array_equal(build_factored_kernel(x, kernel).factor, factor)
-        # from_basis reads the caller's basis and leaves it as it was
-        assert phi.flags.writeable
-        assert np.array_equal(phi, reference_basis(kernel, x))
 
     def test_constructors_copy_caller_arrays(self):
         rng = np.random.default_rng(6)
         entries = rng.standard_normal((4, 4))
-        factor = rng.standard_normal((4, 3))
         K = KernelMatrix(entries=entries, n=4)
-        F = FactoredKernel(factor=factor, n=4)
-        kept_entries, kept_factor = entries.copy(), factor.copy()
+        kept_entries = entries.copy()
         v = rng.standard_normal(4)
-        before = K.matvec(v), F.matvec(v)
+        before = K.matvec(v)
         entries[:] = 0.0
-        factor[:] = 0.0
-        assert entries.flags.writeable and factor.flags.writeable
+        assert entries.flags.writeable
         assert np.array_equal(K.entries, kept_entries)
-        assert np.array_equal(F.factor, kept_factor)
-        assert np.array_equal(K.matvec(v), before[0])
-        assert np.array_equal(F.matvec(v), before[1])
+        assert np.array_equal(K.matvec(v), before)
 
 
 class TestBuildKernelMatrix:

@@ -65,6 +65,13 @@ class TestMakeModel:
             make_model(s=1.0, r=1.0, rho=1.0)
         with pytest.raises(InvalidInput):
             make_model(s=0.5, r=0.0, rho=1.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            make_model(s=0.5, r=math.inf, rho=1.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            make_model(s=0.5, r=1.0, rho=math.inf, noise=GaussianBernstein(1.0))
+        for noise in (UniformBounded, GaussianBernstein):
+            with pytest.raises(InvalidInput, match="finite"):
+                noise(M=math.inf)
         with pytest.raises(InvalidInput):
             make_model(s=0.5, r=1.0, rho=1.0, truncation=5)
         with pytest.raises(InvalidInput):
