@@ -84,6 +84,11 @@ def _effective_config(args) -> ExperimentConfig:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    if args.subcommand == "holdout" and cfg.stopping != "holdout":
+        cfg = dataclasses.replace(
+            cfg, stopping="holdout", holdout_fraction=cfg.holdout_fraction or 0.2
+        )
+    cfg.model()  # every subcommand builds it: reject a bad model before --out exists
     return cfg
 
 
@@ -92,7 +97,29 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _print_report(args, report) -> None:
+def _exit_code(args, report) -> int:
+    """Name each failure; a run with any exits 2, its partial results written."""
+    for f in report.failures:
+        _emit(args, f"FAILED {f}")
+    if not report.incomplete:
+        return EXIT_OK
+    print("partial results written; failures: " + "; ".join(report.failures), file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
+#: (rows CSV, summary JSON) written by each rate-sweep subcommand.
+_SWEEP_ARTIFACTS = {
+    "rates": ("rates.csv", "rate_report.json"),
+    "holdout": ("holdout.csv", "holdout_report.json"),
+}
+
+
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    csv_name, summary_name = _SWEEP_ARTIFACTS[args.subcommand]
+    report = run_experiment(cfg)
+    write_rows_csv(report, os.path.join(args.out, csv_name))
+    write_summary_json(report, os.path.join(args.out, summary_name))
+    write_plot_tsv(report, args.out)
     for p in report.per_point:
         _emit(
             args,
@@ -106,35 +133,7 @@ def _print_report(args, report) -> None:
             f"theta={s.theta:g}: slope={s.slope:+.4f} "
             f"theory={s.theoretical_exponent:+.4f} gap={s.slope_gap:+.4f}",
         )
-    for f in report.failures:
-        _emit(args, f"FAILED {f}")
-
-
-#: (rows CSV, summary JSON) written by each rate-sweep subcommand.
-_SWEEP_ARTIFACTS = {
-    "rates": ("rates.csv", "rate_report.json"),
-    "holdout": ("holdout.csv", "holdout_report.json"),
-}
-
-
-def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if args.subcommand == "holdout" and cfg.stopping != "holdout":
-        cfg = dataclasses.replace(
-            cfg, stopping="holdout", holdout_fraction=cfg.holdout_fraction or 0.2
-        )
-    csv_name, summary_name = _SWEEP_ARTIFACTS[args.subcommand]
-    report = run_experiment(cfg)
-    write_rows_csv(report, os.path.join(args.out, csv_name))
-    write_summary_json(report, os.path.join(args.out, summary_name))
-    write_plot_tsv(report, args.out)
-    _print_report(args, report)
-    if report.incomplete:
-        print(
-            "partial results written; failures: " + "; ".join(report.failures),
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _exit_code(args, report)
 
 
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
@@ -148,7 +147,7 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
             f"cgme_m={row['cgme_m']:g} match_rate={row['match_rate']:.2f} "
             f"ridge_error={row['ridge_error']:.6g}",
         )
-    return EXIT_OK
+    return _exit_code(args, report)
 
 
 def _cmd_fit(args, cfg: ExperimentConfig) -> int:

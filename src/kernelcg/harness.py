@@ -4,7 +4,9 @@ Runs the solver plus a stopping rule across sample sizes, aggregates
 replicate medians, fits log-log slopes, and compares them with the
 theoretical exponents. Also houses the solver comparison (weighted CG
 vs. plain-residual CG vs. ridge on a lambda grid) and the file writers
-shared with the command-line front end.
+shared with the command-line front end. Both the rate sweep and the
+comparison run one replicate loop, ``_sweep``, and write their CSV rows
+and JSON summaries from the fields of their record dataclasses.
 
 Error columns everywhere hold SQUARED distances, so fitted slopes are
 comparable with the exponent -2(r - theta)/(2r + s).
@@ -16,7 +18,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -52,8 +54,6 @@ COMPARE_MAX_ITER = 64
 
 #: Number of ridge penalties in the comparison grid (log-spaced).
 RIDGE_GRID_SIZE = 20
-
-CSV_COLUMNS = ("regime", "n", "rep", "theta", "error", "m_hat", "omega", "seed")
 
 
 # --- configuration -----------------------------------------------------------
@@ -336,8 +336,11 @@ class RateReport:
     rows: tuple[RunRecord, ...]
     per_point: tuple[GridPointStat, ...]
     slopes: tuple[SlopeSummary, ...]
-    incomplete: bool = False
     failures: tuple[str, ...] = ()
+
+    @property
+    def incomplete(self) -> bool:
+        return bool(self.failures)
 
 
 def fit_loglog_slope(ns, errors) -> SlopeFit:
@@ -469,57 +472,76 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
     return ReplicateFit(n, rep, seed, x, y, system, trace, m_hat, omega, spectrum)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RateReport:
-    """Sweep the n-grid with seeded replicates and fit log-log slopes.
+def _sweep(cfg: ExperimentConfig, model: MercerModel, records) -> tuple[list, list[str]]:
+    """Fit every replicate of the n-grid and collect the rows ``records(fit)`` returns.
 
-    Replicates that fail numerically are recorded in ``failures`` and the
-    report is flagged incomplete; aggregation uses the surviving runs.
+    A replicate that fails numerically, in either call, adds a failure line
+    instead; each fit is released before the next replicate draws.
     """
-    model = cfg.model()
-    rows: list[RunRecord] = []
+    rows: list = []
     failures: list[str] = []
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
             try:
-                fit = fit_replicate(cfg, model, n, rep)
-                rows.extend([
-                    RunRecord(
-                        regime=cfg.regime,
-                        n=n,
-                        rep=rep,
-                        theta=theta,
-                        error=fit.squared_error(model, theta),
-                        m_hat=fit.m_hat,
-                        omega=fit.omega,
-                        seed=fit.seed,
-                    )
-                    for theta in cfg.theta_list
-                ])
-                # Free this replicate's arrays before the next one draws its own.
-                del fit
+                rows.extend(records(fit_replicate(cfg, model, n, rep)))
             except NumericalFailure as exc:
                 failures.append(
                     f"n={n} rep={rep} seed={derive_seed(cfg.master_seed, n, rep)}: {exc}"
                 )
+    return rows, failures
+
+
+def _median(values) -> float:
+    """Median of a non-empty sequence, bit for bit as numpy's.
+
+    Aggregation sorts: numpy's median and percentile import numpy.ma on first
+    use, about 18 ms of every fresh ``rates``, ``holdout`` or ``compare``.
+    """
+    v = sorted(values)
+    h = len(v) // 2
+    if len(v) % 2:
+        return float(v[h])
+    return (float(v[h - 1]) + float(v[h])) / 2
+
+
+def _quantile(values, t: float) -> float:
+    """t-quantile of a non-empty sequence, bit for bit as numpy's percentile at 100 t."""
+    v = sorted(values)
+    pos = (len(v) - 1) * t
+    i = int(pos)
+    a, b = float(v[i]), float(v[min(i + 1, len(v) - 1)])
+    g = pos - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def run_experiment(cfg: ExperimentConfig) -> RateReport:
+    """Sweep the n-grid with seeded replicates and fit log-log slopes.
+
+    Replicates that fail numerically are recorded in ``failures``, which
+    flags the report incomplete; aggregation uses the surviving runs.
+    """
+    model = cfg.model()
+
+    def records(fit: ReplicateFit) -> list[RunRecord]:
+        return [
+            RunRecord(cfg.regime, fit.n, fit.rep, theta, fit.squared_error(model, theta),
+                      fit.m_hat, fit.omega, fit.seed)
+            for theta in cfg.theta_list
+        ]
+
+    rows, failures = _sweep(cfg, model, records)
 
     per_point: list[GridPointStat] = []
     for n in cfg.n_grid:
         for theta in cfg.theta_list:
-            errs = [r.error for r in rows if r.n == n and r.theta == theta]
-            if not errs:
+            group = [r for r in rows if r.n == n and r.theta == theta]
+            if not group:
                 continue
-            m_hats = [r.m_hat for r in rows if r.n == n and r.theta == theta]
-            arr = np.asarray(errs, dtype=float)
-            per_point.append(
-                GridPointStat(
-                    n=n,
-                    theta=theta,
-                    median_error=float(np.median(arr)),
-                    iqr_low=float(np.percentile(arr, 25)),
-                    iqr_high=float(np.percentile(arr, 75)),
-                    median_m_hat=float(np.median(m_hats)),
-                )
-            )
+            errs = [r.error for r in group]
+            per_point.append(GridPointStat(
+                n, theta, _median(errs), _quantile(errs, 0.25), _quantile(errs, 0.75),
+                _median([r.m_hat for r in group]),
+            ))
 
     slopes: list[SlopeSummary] = []
     for theta in cfg.theta_list:
@@ -529,26 +551,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
             failures.append(f"theta={theta}: fewer than 2 grid points survived")
             continue
         fit = fit_loglog_slope([p.n for p in stats], [p.median_error for p in stats])
-        slopes.append(
-            SlopeSummary(
-                theta=theta,
-                slope=fit.slope,
-                intercept=fit.intercept,
-                residual=fit.residual,
-                theoretical_exponent=theo,
-                slope_gap=fit.slope - theo,
-                n_points=len(stats),
-            )
-        )
+        slopes.append(SlopeSummary(
+            theta=theta, **asdict(fit), theoretical_exponent=theo,
+            slope_gap=fit.slope - theo, n_points=len(stats),
+        ))
 
     return RateReport(
-        config_hash=config_hash(cfg),
-        master_seed=cfg.master_seed,
-        regime=cfg.regime,
-        rows=tuple(rows),
-        per_point=tuple(per_point),
-        slopes=tuple(slopes),
-        incomplete=bool(failures),
+        config_hash=config_hash(cfg), master_seed=cfg.master_seed, regime=cfg.regime,
+        rows=tuple(rows), per_point=tuple(per_point), slopes=tuple(slopes),
         failures=tuple(failures),
     )
 
@@ -570,13 +580,22 @@ class CompareRecord:
     ridge_error: float
 
 
+#: CompareRecord fields whose replicate median ``compare_summary.json`` reports.
+_COMPARE_MEDIANS = ("cg_m_hat", "cg_error", "cgme_m", "cgme_error", "ridge_error")
+
+
 @dataclass(frozen=True)
 class CompareReport:
     config_hash: str
     master_seed: int
     lambda_grid: tuple[float, ...]
     records: tuple[CompareRecord, ...]
-    medians: tuple[dict, ...]  # one summary dict per n
+    medians: tuple[dict, ...]  # one summary dict per n with surviving replicates
+    failures: tuple[str, ...] = ()
+
+    @property
+    def incomplete(self) -> bool:
+        return bool(self.failures)
 
 
 def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
@@ -587,79 +606,56 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     equal the rate sweep's. The plain-residual run (``gram_fit`` in
     ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
     Gram system, and their errors come from the spectra sqrt(xi / n) * c.
-    The plain-residual run ends at the first iteration
-    matching the weighted run's accuracy (or runs its whole budget and
-    reports its best iteration when it never does); ridge reports its best
-    penalty from a log-spaced grid. All errors are squared prediction-norm
-    distances, squared as in ``ReplicateFit.squared_error``.
+    The plain-residual run ends at the first iteration matching the weighted
+    run's accuracy (or runs its whole budget and reports its best iteration
+    when it never does); ridge reports its best penalty from a log-spaced
+    grid. All errors are squared prediction-norm distances, squared as in
+    ``ReplicateFit.squared_error``. Failures are kept as in ``run_experiment``,
+    and a grid point with no surviving replicate gets no medians row.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
-    lam_grid = tuple(
-        float(v) for v in model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)
-    )
-    records: list[CompareRecord] = []
-    for n in cfg.n_grid:
-        for rep in range(cfg.replicates):
-            fit = fit_replicate(discrepancy_cfg, model, n, rep)
-            cg_error = fit.squared_error(model, 0.0)
-            scale = np.sqrt(model.eigenvalues / fit.points.size)
-            sq = lambda c: _squared_error(scale * c, model, 0.0)
+    lam_grid = tuple((model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)).tolist())
 
-            errs: list[float] = []
+    def records(fit: ReplicateFit) -> list[CompareRecord]:
+        cg_error = fit.squared_error(model, 0.0)
+        scale = np.sqrt(model.eigenvalues / fit.points.size)
+        sq = lambda c: _squared_error(scale * c, model, 0.0)
 
-            def matched(m, res, c):
-                errs.append(sq(c))
-                return errs[-1] <= cg_error
+        errs: list[float] = []
 
-            gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean", stop=matched)
-            cgme_matched = errs[-1] <= cg_error
-            cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
+        def matched(m, res, c):
+            errs.append(sq(c))
+            return errs[-1] <= cg_error
 
-            ridge_lambda, ridge_error = min(
-                zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid))),
-                key=lambda t: t[1],
-            )
-            records.append(
-                CompareRecord(
-                    n=n,
-                    rep=rep,
-                    seed=fit.seed,
-                    cg_m_hat=fit.m_hat,
-                    cg_error=cg_error,
-                    cgme_m=cgme_m,
-                    cgme_error=errs[cgme_m],
-                    cgme_matched=cgme_matched,
-                    ridge_lambda=ridge_lambda,
-                    ridge_error=ridge_error,
-                )
-            )
-            # Free this replicate's arrays before the next one draws its own.
-            del fit
+        gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean", stop=matched)
+        cgme_matched = errs[-1] <= cg_error
+        cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
+
+        ridge_lambda, ridge_error = min(
+            zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid))),
+            key=lambda t: t[1],
+        )
+        return [CompareRecord(
+            fit.n, fit.rep, fit.seed, fit.m_hat, cg_error, cgme_m, errs[cgme_m],
+            cgme_matched, ridge_lambda, ridge_error,
+        )]
+
+    rows, failures = _sweep(discrepancy_cfg, model, records)
 
     medians = []
     for n in cfg.n_grid:
-        group = [rec for rec in records if rec.n == n]
-        med = lambda vals: float(np.median(vals))
-        medians.append(
-            {
-                "n": n,
-                "cg_m_hat": med([r.cg_m_hat for r in group]),
-                "cg_error": med([r.cg_error for r in group]),
-                "cgme_m": med([r.cgme_m for r in group]),
-                "cgme_error": med([r.cgme_error for r in group]),
-                "match_rate": float(
-                    np.mean([1.0 if r.cgme_matched else 0.0 for r in group])
-                ),
-                "ridge_error": med([r.ridge_error for r in group]),
-            }
-        )
+        group = [r for r in rows if r.n == n]
+        if not group:
+            continue
+        medians.append({
+            "n": n,
+            **{k: _median([getattr(r, k) for r in group]) for k in _COMPARE_MEDIANS},
+            "match_rate": sum(r.cgme_matched for r in group) / len(group),
+        })
     return CompareReport(
-        config_hash=config_hash(cfg),
-        master_seed=cfg.master_seed,
-        lambda_grid=lam_grid,
-        records=tuple(records),
-        medians=tuple(medians),
+        config_hash=config_hash(cfg), master_seed=cfg.master_seed, lambda_grid=lam_grid,
+        records=tuple(rows), medians=tuple(medians), failures=tuple(failures),
     )
 
 
@@ -687,56 +683,50 @@ def write_text_atomic(path: str, text: str) -> None:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(int(value))
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_table(report, columns, rows, path: str, sep: str = ",") -> None:
+    """Provenance line, header, then one line of ``_fmt`` values per row."""
+    lines = [
+        f"# config_hash={report.config_hash} master_seed={report.master_seed}",
+        sep.join(columns),
+    ]
+    lines += [sep.join(map(_fmt, row)) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_csv(report, record_type, rows, path: str) -> None:
+    """One column per field of ``record_type``, in field order."""
+    names = [f.name for f in fields(record_type)]
+    _write_table(report, names, ([getattr(r, name) for name in names] for r in rows), path)
 
 
 def write_rows_csv(report: RateReport, path: str) -> None:
     """Raw per-replicate records; column order is part of the contract."""
-    lines = [
-        f"# config_hash={report.config_hash} master_seed={report.master_seed}",
-        ",".join(CSV_COLUMNS),
-    ]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.regime, r.n, r.rep, r.theta, r.error, r.m_hat, r.omega, r.seed)
-            )
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(report, RunRecord, report.rows, path)
 
 
-def summary_dict(report: RateReport) -> dict:
+def _report_dict(report, **entries) -> dict:
+    """Provenance and failure keys shared by every JSON summary, plus ``entries``."""
     return {
         "config_hash": report.config_hash,
         "master_seed": report.master_seed,
-        "regime": report.regime,
         "incomplete": report.incomplete,
         "failures": list(report.failures),
-        "per_point": [
-            {
-                "n": p.n,
-                "theta": p.theta,
-                "median_error": p.median_error,
-                "iqr_low": p.iqr_low,
-                "iqr_high": p.iqr_high,
-                "median_m_hat": p.median_m_hat,
-            }
-            for p in report.per_point
-        ],
-        "slopes": [
-            {
-                "theta": s.theta,
-                "slope": s.slope,
-                "intercept": s.intercept,
-                "residual": s.residual,
-                "theoretical_exponent": s.theoretical_exponent,
-                "slope_gap": s.slope_gap,
-                "n_points": s.n_points,
-            }
-            for s in report.slopes
-        ],
+        **entries,
     }
+
+
+def summary_dict(report: RateReport) -> dict:
+    return _report_dict(
+        report,
+        regime=report.regime,
+        per_point=[asdict(p) for p in report.per_point],
+        slopes=[asdict(s) for s in report.slopes],
+    )
 
 
 def write_summary_json(report: RateReport, path: str) -> None:
@@ -758,47 +748,22 @@ def write_plot_tsv(report: RateReport, out_dir: str) -> list[str]:
         center = float(np.mean(log_n))
         anchor = s.slope * center + s.intercept
         theory = anchor + s.theoretical_exponent * (log_n - center)
-        lines = [
-            f"# config_hash={report.config_hash} master_seed={report.master_seed}",
-            "log_n\tlog_median_error\ttheoretical_line",
-        ]
-        for ln, le, th in zip(log_n, log_err, theory):
-            lines.append(f"{float(ln)!r}\t{float(le)!r}\t{float(th)!r}")
         path = os.path.join(out_dir, f"plot_theta_{s.theta:g}.tsv")
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        columns = ("log_n", "log_median_error", "theoretical_line")
+        rows = zip(log_n.tolist(), log_err.tolist(), theory.tolist())
+        _write_table(report, columns, rows, path, sep="\t")
         paths.append(path)
     return paths
 
 
 def compare_dict(report: CompareReport) -> dict:
-    return {
-        "config_hash": report.config_hash,
-        "master_seed": report.master_seed,
-        "lambda_grid": list(report.lambda_grid),
-        "medians": list(report.medians),
-    }
+    return _report_dict(
+        report, lambda_grid=list(report.lambda_grid), medians=list(report.medians)
+    )
 
 
 def write_compare_csv(report: CompareReport, path: str) -> None:
-    columns = (
-        "n", "rep", "seed", "cg_m_hat", "cg_error", "cgme_m", "cgme_error",
-        "cgme_matched", "ridge_lambda", "ridge_error",
-    )
-    lines = [
-        f"# config_hash={report.config_hash} master_seed={report.master_seed}",
-        ",".join(columns),
-    ]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.n, r.rep, r.seed, r.cg_m_hat, r.cg_error, r.cgme_m,
-                    r.cgme_error, int(r.cgme_matched), r.ridge_lambda, r.ridge_error,
-                )
-            )
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(report, CompareRecord, report.records, path)
 
 
 def write_compare_json(report: CompareReport, path: str) -> None:

@@ -140,8 +140,8 @@ def threshold_outer(p: ThresholdParams) -> ThresholdResult:
 
 #: Fraction of the noise floor the calibrated threshold sits at when
 #: tau_prime equals its regime minimum and n equals the anchor size.
-#: Chosen once against oracle-stopped runs; see the calibration notes in
-#: the repository history.
+#: Chosen once against oracle-stopped runs. The notes of that calibration are
+#: not in the repository; ROADMAP item 2 plans a demo that re-derives it.
 CALIBRATION_FRACTION = 0.39
 
 #: Smallest admissible tau_prime per regime; the calibrated threshold

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcg import cli
+from kernelcg import cli, harness
 from kernelcg.errors import NumericalFailure
 from kernelcg.harness import ExperimentConfig, config_hash, derive_seed
 from kernelcg.kernels import build_kernel_matrix
@@ -316,6 +316,56 @@ def test_holdout_subcommand_rejects_outer(tmp_path, capsys):
     assert "outer" in capsys.readouterr().err
 
 
+SHIPPED_OUTER = str(Path(__file__).resolve().parents[1] / "configs" / "outer_r025_s05.json")
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, message",
+    [
+        ("holdout", None, "outer regime"),
+        ("rates", {"rho": 10.0}, "sup-norm"),
+    ],
+)
+def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, config, message):
+    # The holdout override and the model build are checked before --out exists.
+    if config is None:
+        cfg_path = SHIPPED_OUTER
+    else:
+        d = inner_dict()
+        d["model"].update(config)
+        cfg_path = write_config(tmp_path, d)
+    out = tmp_path / "out"
+    rc = cli.main([subcommand, "--config", cfg_path, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_writes_partial_results_and_exits_two(tmp_path, capsys, monkeypatch):
+    real_gram_fit = harness.gram_fit
+
+    def gram_fit(system, *args, **kwargs):
+        if system.n == 32:
+            raise NumericalFailure("synthetic blow-up", iteration=1)
+        return real_gram_fit(system, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "gram_fit", gram_fit)
+    cfg_path = write_config(tmp_path, inner_dict())
+    out = tmp_path / "out"
+    rc = cli.main(["compare", "--config", cfg_path, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "partial results written" in captured.err
+    assert "FAILED n=32 rep=0" in captured.out
+    rows = list(csv.DictReader((out / "compare.csv").read_text().splitlines()[1:]))
+    assert [(int(r["n"]), int(r["rep"])) for r in rows] == [(16, 0), (16, 1)]
+    summary = json.loads((out / "compare_summary.json").read_text())
+    assert summary["incomplete"] is True
+    assert [f.split(" seed=")[0] for f in summary["failures"]] == ["n=32 rep=0", "n=32 rep=1"]
+    assert all("synthetic blow-up" in f for f in summary["failures"])
+    assert [row["n"] for row in summary["medians"]] == [16]
+
+
 def test_simulate_writes_samples_and_manifest(tmp_path):
     cfg_path = write_config(tmp_path, inner_dict())
     out = tmp_path / "out"
@@ -377,19 +427,21 @@ def test_module_entry_point_subprocess(tmp_path):
 COLD_PATH_SCRIPT = """
 import json, sys
 import kernelcg
-from kernelcg import cli
+from kernelcg import cli, harness
 cfg, out = sys.argv[1], sys.argv[2]
 codes = [
     cli.main([name, "--config", cfg, "--out", f"{out}/{name}", "--quiet"])
     for name in ("fit", "simulate", "rates", "holdout", "compare")
 ]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_subcommands_never_import_scipy(tmp_path):
+def test_subcommands_never_import_scipy_or_numpy_ma(tmp_path):
     # scipy adds about 0.5 s to every start-up; only the effective-dimension
-    # tail bound needs it, and no subcommand calls it.
+    # tail bound needs it, and no subcommand calls it. numpy.ma (about 18 ms)
+    # comes with numpy's median and percentile, which the sweeps do not use.
     cfg_path = write_config(tmp_path, inner_dict())
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, cfg_path, str(tmp_path / "out")],
@@ -399,4 +451,4 @@ def test_subcommands_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0]
-    assert result["scipy"] == []
+    assert result["loaded"] == []

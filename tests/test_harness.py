@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcg import (
     GramSystem,
@@ -31,7 +33,6 @@ from kernelcg import (
 )
 from kernelcg.harness import (
     COMPARE_MAX_ITER,
-    CSV_COLUMNS,
     HOLDOUT_MAX_ITER,
     ExperimentConfig,
     canonical_json,
@@ -47,6 +48,8 @@ from kernelcg.harness import (
     write_rows_csv,
     write_summary_json,
     write_text_atomic,
+    _median,
+    _quantile,
 )
 
 REDUCED_INNER = (
@@ -211,6 +214,26 @@ class TestFitLoglogSlope:
             fit_loglog_slope([10, 100], [1.0])
         with pytest.raises(InvalidInput):
             fit_loglog_slope([10], [1.0])
+
+
+# Replicate sets as the sweeps aggregate them: stop indices, squared errors
+# over many decades, and sets with ties.
+_replicate_values = st.one_of(
+    st.lists(st.integers(0, 4096), min_size=1, max_size=60),
+    st.lists(st.floats(1e-20, 1e2), min_size=1, max_size=60),
+    st.lists(st.floats(-46.0, 4.6).map(math.exp), min_size=1, max_size=60),
+    st.lists(st.floats(1e-20, 1e2), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_replicate_values)
+def test_sort_aggregation_matches_numpy_bit_for_bit(values):
+    assert _median(values).hex() == float(np.median(values)).hex()
+    assert _quantile(values, 0.25).hex() == float(np.percentile(values, 25)).hex()
+    assert _quantile(values, 0.75).hex() == float(np.percentile(values, 75)).hex()
 
 
 class TestRunExperiment:
@@ -418,7 +441,7 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert report.config_hash in lines[0]
-        assert lines[1] == ",".join(CSV_COLUMNS)
+        assert lines[1] == "regime,n,rep,theta,error,m_hat,omega,seed"
         assert len(lines) == 2 + len(report.rows)
         first = lines[2].split(",")
         assert first[0] == "inner"
