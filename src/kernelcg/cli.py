@@ -84,10 +84,8 @@ def _effective_config(args) -> ExperimentConfig:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.subcommand == "holdout" and cfg.stopping != "holdout":
-        cfg = dataclasses.replace(
-            cfg, stopping="holdout", holdout_fraction=cfg.holdout_fraction or 0.2
-        )
+    if args.subcommand == "holdout" and cfg.holdout_fraction is None:
+        cfg = dataclasses.replace(cfg, holdout_fraction=0.2)
     cfg.model()  # every subcommand builds it: reject a bad model before --out exists
     return cfg
 

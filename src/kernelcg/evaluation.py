@@ -32,6 +32,8 @@ ERROR_FLOOR = 1e-24
 class ErrorReport:
     """Distance between an estimator and the model target in one norm.
 
+    The spectral distance is exact: the target is the model's own finite expansion.
+
     Fields
     ------
     theta : float
@@ -41,9 +43,6 @@ class ErrorReport:
         The distance itself (not squared).
     method : str
         "spectral" (exact coefficient sum) or "monte_carlo".
-    truncation_note : float
-        Bound on the squared mass the truncated sum cannot see; zero here
-        whenever the target is the model's own finite expansion.
     mc_samples : int, optional
         Draw count behind a Monte-Carlo estimate.
     mc_std_err : float, optional
@@ -53,7 +52,6 @@ class ErrorReport:
     theta: float
     error_value: float
     method: str
-    truncation_note: float
     mc_samples: int | None = None
     mc_std_err: float | None = None
 
@@ -166,7 +164,6 @@ def error_norm(
             theta=float(theta),
             error_value=spectral_error(c_hat, model, theta),
             method="spectral",
-            truncation_note=0.0,
         )
 
     if theta != 0.0:
@@ -186,7 +183,6 @@ def error_norm(
         theta=0.0,
         error_value=math.sqrt(max(mean_sq, 0.0)),
         method="monte_carlo",
-        truncation_note=0.0,
         mc_samples=int(mc_samples),
         mc_std_err=std_err,
     )

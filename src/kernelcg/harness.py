@@ -79,8 +79,7 @@ class ExperimentConfig:
     tau_prime: float
     theta_list: tuple[float, ...]
     master_seed: int
-    stopping: str = "discrepancy"
-    holdout_fraction: float | None = None
+    holdout_fraction: float | None = None  # None: the discrepancy rule
     threshold: str = "calibrated"
     u_profile: str | int = "inverse_index"
 
@@ -125,23 +124,22 @@ class ExperimentConfig:
                     raise InvalidInput(
                         f"outer regime requires theta < r, got theta={t}, r={self.r}"
                     )
-        if self.stopping not in ("discrepancy", "holdout"):
-            raise InvalidInput(
-                f"stopping must be 'discrepancy' or 'holdout', got {self.stopping!r}"
-            )
-        if self.stopping == "holdout":
+        f = self.holdout_fraction
+        if f is not None:
             if self.regime == "outer":
                 raise InvalidInput(
                     "holdout stopping is not defined for the outer regime: "
                     "the padded responses are rescaled and zero-filled"
                 )
-            f = self.holdout_fraction
-            if f is None or not 0.0 < f < 1.0:
+            if not 0.0 < f < 1.0:
                 raise InvalidInput(
                     f"holdout stopping needs holdout_fraction in (0, 1), got {f}"
                 )
-        elif self.holdout_fraction is not None:
-            raise InvalidInput("holdout_fraction is only valid with stopping='holdout'")
+            # n - n_val never decreases with n, so the smallest grid point decides.
+            if _n_val(f, grid[0]) >= grid[0]:
+                raise InvalidInput(
+                    f"holdout fraction {f} leaves no training data at n={grid[0]}"
+                )
         if self.threshold not in ("calibrated", "literal"):
             raise InvalidInput(
                 f"threshold must be 'calibrated' or 'literal', got {self.threshold!r}"
@@ -167,8 +165,8 @@ class ExperimentConfig:
         }
         if self.u_profile != "inverse_index":
             model["u_profile"] = self.u_profile
-        stopping: object = self.stopping
-        if self.stopping == "holdout":
+        stopping: object = "discrepancy"
+        if self.holdout_fraction is not None:
             stopping = {"kind": "holdout", "fraction": self.holdout_fraction}
         out = {
             "model": model,
@@ -225,10 +223,12 @@ class ExperimentConfig:
                 )
             if "fraction" not in stopping_raw:
                 raise InvalidInput("stopping field 'fraction' is required for holdout")
-            stopping = "holdout"
             holdout_fraction = _field("stopping.fraction", _finite, stopping_raw["fraction"])
-        else:
-            stopping = str(stopping_raw)
+        elif stopping_raw != "discrepancy":
+            raise InvalidInput(
+                f"config field 'stopping' must be 'discrepancy' or a holdout object, "
+                f"got {stopping_raw!r}"
+            )
         return ExperimentConfig(
             s=_field("model.s", _finite, model["s"]),
             r=_field("model.r", _finite, model["r"]),
@@ -244,11 +244,15 @@ class ExperimentConfig:
                 "theta_list", lambda v: tuple(_finite(t) for t in v), d["theta_list"]
             ),
             master_seed=_field("master_seed", int, d["master_seed"]),
-            stopping=stopping,
             holdout_fraction=holdout_fraction,
             threshold=str(d.get("threshold", "calibrated")),
             u_profile=model.get("u_profile", "inverse_index"),
         )
+
+
+def _n_val(fraction: float, n: int) -> int:
+    """Validation points a hold-out split of ``n`` points keeps: at least one."""
+    return max(1, round(fraction * n))
 
 
 def _field(name: str, convert, value):
@@ -428,16 +432,18 @@ class ReplicateFit:
 
 
 def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
-    """Draw replicate ``rep`` at sample size ``n``, run CG and stop it by ``cfg.stopping``.
+    """Draw replicate ``rep`` at sample size ``n``, run CG and stop it.
 
-    The eigenfunctions at the design are evaluated once, into the Gram
-    system G = B.T B, b = B.T y (``GramSystem.from_basis``), and both rules
-    run ``gram_fit`` on it. Under the discrepancy rule the run ends inside
-    the loop at the stop index, so the trace holds ``m_hat + 1`` iterates.
-    Under hold-out it runs up to ``HOLDOUT_MAX_ITER`` steps, and the rule
-    predicts the validation points from every iterate's spectrum
-    sqrt(xi / n) * c_m. Raises InvalidInput when the hold-out split leaves no
-    training data, and NumericalFailure from the solver.
+    ``cfg.holdout_fraction`` picks the rule: None for the discrepancy
+    principle, else hold-out on that share of the points. The eigenfunctions
+    at the design are evaluated once, into the Gram system G = B.T B,
+    b = B.T y (``GramSystem.from_basis``), and both rules run ``gram_fit`` on
+    it. Under the discrepancy rule the run ends inside the loop at the stop
+    index, so the trace holds ``m_hat + 1`` iterates. Under hold-out it runs
+    up to ``HOLDOUT_MAX_ITER`` steps, and ``holdout_select`` picks among the
+    validation predictions of the spectra sqrt(xi / n) * c_m. Raises
+    InvalidInput when the hold-out split leaves no training data at this
+    ``n``, and NumericalFailure from the solver.
     """
     seed = derive_seed(cfg.master_seed, n, rep)
     outer = cfg.regime == "outer"
@@ -447,8 +453,9 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         y = sample.Y_padded
     else:
         x, y = sample.X_labeled, sample.Y
-    if cfg.stopping == "holdout":
-        n_val = max(1, round(cfg.holdout_fraction * n))
+    holdout = cfg.holdout_fraction is not None
+    if holdout:
+        n_val = _n_val(cfg.holdout_fraction, n)
         if n_val >= n:
             raise InvalidInput(
                 f"holdout fraction {cfg.holdout_fraction} leaves no training data at n={n}"
@@ -458,16 +465,15 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
 
     system = GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
     w = np.sqrt(model.eigenvalues / x.size)
-    if cfg.stopping == "discrepancy":
+    if holdout:
+        omega = None
+        trace = gram_fit(system, max_iter=HOLDOUT_MAX_ITER)
+        predictions = (trace.alphas * w) @ model.kernel.basis(x_val).T
+        m_hat = holdout_select(predictions, y_val, model.noise.M)
+    else:
         omega = _threshold_for(cfg, model, n)
         trace = gram_fit(system, stop=lambda m, res, c: res < omega)
         m_hat = discrepancy_stop(trace, omega)
-    else:
-        omega = None
-        trace = gram_fit(system, max_iter=HOLDOUT_MAX_ITER)
-        m_hat = holdout_select(
-            trace, model.kernel, x, x_val, y_val, M_clip=model.noise.M, spectra=trace.alphas * w
-        )
     spectrum = w * trace.alphas[m_hat]
     return ReplicateFit(n, rep, seed, x, y, system, trace, m_hat, omega, spectrum)
 
@@ -602,7 +608,7 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
     The weighted run always stops by the discrepancy rule, whatever
-    ``cfg.stopping`` says, and is ``fit_replicate``'s run, so its errors
+    ``cfg.holdout_fraction`` says, and is ``fit_replicate``'s run, so its errors
     equal the rate sweep's. The plain-residual run (``gram_fit`` in
     ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
     Gram system, and their errors come from the spectra sqrt(xi / n) * c.
@@ -614,7 +620,7 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     and a grid point with no surviving replicate gets no medians row.
     """
     model = cfg.model()
-    discrepancy_cfg = replace(cfg, stopping="discrepancy", holdout_fraction=None)
+    discrepancy_cfg = replace(cfg, holdout_fraction=None)
     lam_grid = tuple((model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)).tolist())
 
     def records(fit: ReplicateFit) -> list[CompareRecord]:

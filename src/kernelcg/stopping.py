@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NotReached
-from .kernels import KernelSpec
 from .solvers import CgTrace
 
 
@@ -90,8 +89,14 @@ class ThresholdResult:
     admissible: bool
 
 
-def _bracket(p: ThresholdParams) -> float:
-    return (4.0 * p.D / math.sqrt(p.n)) * math.log(6.0 / p.gamma)
+def _literal(p: ThresholdParams, scale: float, admissible_log: float) -> ThresholdResult:
+    """The closed-form threshold of both regimes, which differ only in the
+    response ``scale`` and in the constant inside the admissibility log."""
+    bracket = (4.0 * p.D / math.sqrt(p.n)) * math.log(6.0 / p.gamma)
+    exponent = (2.0 * p.r + 1.0) / (2.0 * p.r + p.s)
+    omega = p.tau_prime * scale * math.sqrt(p.kappa) * bracket**exponent
+    admissible = p.n >= 16.0 * p.D**2 * math.log(admissible_log / p.gamma) ** 2
+    return ThresholdResult(omega=omega, admissible=admissible)
 
 
 def threshold_inner(p: ThresholdParams) -> ThresholdResult:
@@ -107,10 +112,7 @@ def threshold_inner(p: ThresholdParams) -> ThresholdResult:
         )
     if not p.r >= 0.5:
         raise InvalidInput(f"inner regime requires r >= 1/2, got r={p.r}")
-    exponent = (2.0 * p.r + 1.0) / (2.0 * p.r + p.s)
-    omega = p.tau_prime * p.M * math.sqrt(p.kappa) * _bracket(p) ** exponent
-    admissible = p.n >= 16.0 * p.D**2 * math.log(6.0 / p.gamma) ** 2
-    return ThresholdResult(omega=omega, admissible=admissible)
+    return _literal(p, p.M, 6.0)
 
 
 def threshold_outer(p: ThresholdParams) -> ThresholdResult:
@@ -131,11 +133,7 @@ def threshold_outer(p: ThresholdParams) -> ThresholdResult:
         )
     if p.rho is None:
         raise InvalidInput("outer regime requires rho")
-    exponent = (2.0 * p.r + 1.0) / (2.0 * p.r + p.s)
-    scale = max(p.rho, p.M)
-    omega = p.tau_prime * scale * math.sqrt(p.kappa) * _bracket(p) ** exponent
-    admissible = p.n >= 16.0 * p.D**2 * math.log(4.0 / p.gamma) ** 2
-    return ThresholdResult(omega=omega, admissible=admissible)
+    return _literal(p, max(p.rho, p.M), 4.0)
 
 
 #: Fraction of the noise floor the calibrated threshold sits at when
@@ -229,47 +227,24 @@ def discrepancy_stop(trace: CgTrace, omega: float) -> int:
     raise NotReached(trace.m_last, trace.residual_norms[-1])
 
 
-def holdout_select(
-    trace: CgTrace,
-    kernel: KernelSpec,
-    train_points,
-    val_points,
-    val_labels,
-    M_clip: float,
-    spectra: np.ndarray | None = None,
-) -> int:
-    """Iteration whose clipped predictor best fits held-out data.
+def holdout_select(predictions, val_labels, M_clip: float) -> int:
+    """Iterate whose clipped predictions best fit held-out labels.
 
-    Every recorded iterate is evaluated on the validation points, predictions
-    are clamped to [-M_clip, M_clip], and the index with the smallest mean
-    squared validation error wins; ties break toward the smallest index.
-    ``spectra``, when given, holds one row per recorded iterate: its
-    coefficients on the eigenfunctions of a ``MercerKernel``, as
-    ``estimator_spectrum`` returns them (sqrt(xi / n) * c_m for a
-    ``gram_fit`` trace). Predictions then go through them: the values of the
-    trace's rows and the training points are not read, and no
-    validation-by-training matrix is formed.
+    ``predictions`` holds one row per candidate iterate and one column per
+    validation point. Predictions are clamped to [-M_clip, M_clip], and the
+    row with the smallest mean squared validation error wins; ties break
+    toward the smallest index.
     """
-    val_x = np.asarray(val_points, dtype=float).ravel()
+    preds = np.asarray(predictions, dtype=float)
     val_y = np.asarray(val_labels, dtype=float).ravel()
-    if val_x.size == 0:
+    if val_y.size == 0:
         raise InvalidInput("validation set must be non-empty")
-    if val_x.size != val_y.size:
+    if preds.ndim != 2 or preds.shape[1] != val_y.size:
         raise InvalidInput(
-            f"validation sizes differ: {val_x.size} points, {val_y.size} labels"
+            f"predictions of shape {preds.shape} do not fit {val_y.size} validation labels"
         )
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
-    if spectra is None:
-        x = np.asarray(train_points, dtype=float).ravel()
-        cross = kernel.gram(val_x, x) / x.size
-        preds = trace.alphas @ cross.T  # (m_last + 1, n_val)
-    elif spectra.shape != (len(trace.alphas), kernel.n_modes):
-        raise InvalidInput(
-            f"spectra shape {spectra.shape} does not fit {len(trace.alphas)} iterates"
-        )
-    else:
-        preds = spectra @ kernel.basis(val_x).T
     clipped = np.clip(preds, -M_clip, M_clip)
     losses = np.mean((clipped - val_y) ** 2, axis=1)
     return int(np.argmin(losses))

@@ -374,18 +374,6 @@ def _infer_u_profile(model: MercerModel) -> str | int:
     return "inverse_index"
 
 
-def model_from_dict(d: dict) -> MercerModel:
-    return make_model(
-        s=float(d["s"]),
-        r=float(d["r"]),
-        rho=float(d["rho"]),
-        truncation=int(d["truncation"]),
-        noise=noise_from_dict(d["noise"]),
-        u_profile=d.get("u_profile", "inverse_index"),
-        include_constant=bool(d.get("include_constant", True)),
-    )
-
-
 def sample_to_dict(sample: Sample) -> dict:
     return {
         "X_labeled": sample.X_labeled.tolist(),
@@ -396,15 +384,3 @@ def sample_to_dict(sample: Sample) -> dict:
         "model_ref": sample.model_ref,
         "rng": sample.rng,
     }
-
-
-def sample_from_dict(d: dict) -> Sample:
-    return Sample(
-        X_labeled=np.asarray(d["X_labeled"], dtype=float),
-        Y=np.asarray(d["Y"], dtype=float),
-        X_unlabeled=None if d.get("X_unlabeled") is None else np.asarray(d["X_unlabeled"], dtype=float),
-        Y_padded=None if d.get("Y_padded") is None else np.asarray(d["Y_padded"], dtype=float),
-        seed=int(d["seed"]),
-        model_ref=str(d["model_ref"]),
-        rng=str(d.get("rng", RNG_ALGORITHM)),
-    )

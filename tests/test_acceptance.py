@@ -205,6 +205,7 @@ def test_effective_dimension_closed_form():
 
 @pytest.mark.xfail(
     strict=False,
+    raises=AssertionError,
     reason="validation at this sample size resolves the factor-2 error gap in "
     "~82% of replicates, short of the 90% demanded; the margin is structural "
     "(selection noise ~ M^2/n_val exceeds the squared error of the best "
@@ -227,7 +228,8 @@ def test_holdout_adaptivity():
         yt, yv = y[: n - n_val], y[n - n_val :]
         K = build_kernel_matrix(xt, model.kernel)
         trace = cg_fit(K, yt, max_iter=min(xt.size, 64))
-        m_sel = holdout_select(trace, model.kernel, xt, xv, yv, M_clip=m_bound)
+        val_preds = trace.alphas @ model.kernel.gram(xv, xt).T / xt.size
+        m_sel = holdout_select(val_preds, yv, M_clip=m_bound)
         preds = trace.alphas @ model.kernel.gram(xt, grid) / xt.size
         np.clip(preds, -m_bound, m_bound, out=preds)
         errs = np.sqrt(((preds - f_star) ** 2).mean(axis=1))

@@ -341,6 +341,20 @@ def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["rates", "holdout"])
+def test_holdout_split_without_training_data_leaves_no_out_directory(
+    tmp_path, capsys, subcommand
+):
+    # 0.99 of the smallest grid point (32) is 32 validation points.
+    d = json.loads(Path(SHIPPED_OUTER).with_name("inner_small.json").read_text())
+    d["stopping"] = {"kind": "holdout", "fraction": 0.99}
+    out = tmp_path / "out"
+    rc = cli.main([subcommand, "--config", write_config(tmp_path, d), "--out", str(out)])
+    assert rc == 1
+    assert "leaves no training data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_partial_results_and_exits_two(tmp_path, capsys, monkeypatch):
     real_gram_fit = harness.gram_fit
 

@@ -92,7 +92,6 @@ class TestErrorNorm:
         report = error_norm(np.zeros(9), x, INNER, theta=0.0)
         expected = math.sqrt(float(np.sum(INNER.target_coeffs**2)))
         assert report.method == "spectral"
-        assert report.truncation_note == 0.0
         assert report.error_value == pytest.approx(expected, rel=1e-12)
 
     def test_perfect_spectral_match_is_zero(self):

@@ -111,7 +111,7 @@ def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
 @settings(max_examples=25, deadline=None)
 @given(cases, st.sampled_from(["kn_norm", "euclidean"]))
 @example(("inner_holdout", 118, 828489043), "kn_norm")
-def test_oracle_on_factored_operator_matches_cg(case, mode):
+def test_oracle_on_dense_matrix_matches_cg(case, mode):
     name, n, seed = case
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
@@ -187,7 +187,7 @@ def krylov_minimizers(system: GramSystem, m_max: int, mode: str) -> list[np.ndar
     st.integers(0, 2**32 - 1),
     st.sampled_from(["kn_norm", "euclidean"]),
 )
-def test_gram_fit_matches_cg_fit_on_the_factor(name, n, seed, mode):
+def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
     system = gram_system(x, y, model)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from kernelcg import (
     GramSystem,
     InvalidInput,
+    MercerKernel,
+    ThresholdParams,
     UniformBounded,
     build_kernel_matrix,
     cg_fit,
@@ -30,6 +32,8 @@ from kernelcg import (
     make_model,
     ridge_path,
     spectral_error,
+    threshold_inner,
+    threshold_outer,
 )
 from kernelcg.harness import (
     COMPARE_MAX_ITER,
@@ -102,7 +106,7 @@ class TestExperimentConfig:
         assert again == cfg
 
     def test_holdout_roundtrip(self):
-        cfg = inner_config(stopping="holdout", holdout_fraction=0.2)
+        cfg = inner_config(holdout_fraction=0.2)
         d = cfg.to_dict()
         assert d["stopping"] == {"kind": "holdout", "fraction": 0.2}
         assert ExperimentConfig.from_dict(d) == cfg
@@ -147,13 +151,30 @@ class TestExperimentConfig:
 
     def test_outer_holdout_rejected(self):
         with pytest.raises(InvalidInput, match="holdout"):
-            outer_config(stopping="holdout", holdout_fraction=0.2)
+            outer_config(holdout_fraction=0.2)
 
     def test_holdout_needs_fraction(self):
+        d = inner_config().to_dict()
+        d["stopping"] = {"kind": "holdout"}
         with pytest.raises(InvalidInput, match="fraction"):
-            inner_config(stopping="holdout")
-        with pytest.raises(InvalidInput, match="only valid"):
-            inner_config(holdout_fraction=0.2)
+            ExperimentConfig.from_dict(d)
+        for f in (0.0, 1.0):
+            with pytest.raises(InvalidInput, match="fraction in \\(0, 1\\)"):
+                inner_config(holdout_fraction=f)
+
+    def test_discrepancy_is_the_only_stopping_string(self):
+        d = inner_config().to_dict()
+        assert d["stopping"] == "discrepancy"
+        d["stopping"] = "holdout"
+        with pytest.raises(InvalidInput, match="stopping"):
+            ExperimentConfig.from_dict(d)
+
+    def test_holdout_split_must_leave_training_data_at_the_smallest_n(self):
+        # n_grid (32, 64, 128): a 0.97 split keeps round(31.04) = 31 of 32
+        # points for validation and one for training; 0.99 keeps none
+        assert inner_config(holdout_fraction=0.97).n_grid[0] == 32
+        with pytest.raises(InvalidInput, match="leaves no training data at n=32"):
+            inner_config(holdout_fraction=0.99)
 
     def test_hash_is_stable_and_sensitive(self):
         a = config_hash(inner_config())
@@ -281,7 +302,7 @@ class TestRunExperiment:
         assert len(report.slopes) == 1
 
     def test_holdout_mode_emits_no_omega(self):
-        cfg = inner_config(stopping="holdout", holdout_fraction=0.25)
+        cfg = inner_config(holdout_fraction=0.25)
         report = run_experiment(cfg)
         assert all(row.omega is None for row in report.rows)
         assert all(row.m_hat >= 0 for row in report.rows)
@@ -310,7 +331,7 @@ class TestFitReplicate:
         """Hold-out replicates run CG on the Gram system. Reorthogonalized
         CG makes all of their iterates independent of rounding, so the stop
         equals the hold-out choice on a dense-matrix trace."""
-        cfg = inner_config(stopping="holdout", holdout_fraction=0.25, J=120)
+        cfg = inner_config(holdout_fraction=0.25, J=120)
         model = cfg.model()
         for n, rep in itertools.product((64, 128, 512), range(cfg.replicates)):
             fit = fit_replicate(cfg, model, n, rep)
@@ -321,9 +342,8 @@ class TestFitReplicate:
             dense = cg_fit(
                 build_kernel_matrix(fit.points, model.kernel), fit.y, max_iter=HOLDOUT_MAX_ITER
             )
-            expected = holdout_select(
-                dense, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M
-            )
+            cross = model.kernel.gram(x_val, fit.points)
+            expected = holdout_select(dense.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected, (n, rep)
 
     def test_discrepancy_errors_match_error_norm(self):
@@ -357,10 +377,51 @@ class TestFitReplicate:
                 stops.append(fit.m_hat)
         assert max(stops) > 0
 
+    def test_holdout_evaluates_the_basis_once_per_point(self, monkeypatch):
+        """Hold-out predicts the validation points through the iterate
+        spectra: no cross-kernel matrix, and one basis row per point."""
+        cfg = inner_config(holdout_fraction=0.25)
+        model = cfg.model()
+        sizes = []
+        basis = MercerKernel.basis
+
+        def counted(kernel, points):
+            sizes.append(np.asarray(points).size)
+            return basis(kernel, points)
+
+        def no_gram(*args):
+            raise AssertionError("cross-kernel matrix formed")
+
+        monkeypatch.setattr(MercerKernel, "basis", counted)
+        monkeypatch.setattr(MercerKernel, "gram", no_gram)
+        fit = fit_replicate(cfg, model, 64, 0)
+        # the draw evaluates the target at all 64 points, then 48 train, 16 validate
+        assert sizes == [64, 48, 16]
+        assert fit.points.size == 48
+
+    @pytest.mark.parametrize(
+        "cfg, rule",
+        [
+            (inner_config(threshold="literal"), threshold_inner),
+            (outer_config(threshold="literal"), threshold_outer),
+        ],
+        ids=["inner", "outer"],
+    )
+    def test_literal_threshold_is_the_regime_formula(self, cfg, rule):
+        model = cfg.model()
+        for n in cfg.n_grid:
+            fit = fit_replicate(cfg, model, n, 0)
+            params = ThresholdParams(
+                M=model.noise.M, kappa=model.kappa, D=model.ed_constant, n=n,
+                gamma=cfg.gamma, r=model.r, s=model.s, tau_prime=cfg.tau_prime,
+                rho=model.rho,
+            )
+            assert fit.omega == rule(params).omega
+
     def test_holdout_stop_matches_select_on_the_gram_matrix(self):
         """The Gram-space hold-out stop equals the choice among cg_fit's
         iterates on the dense matrix, predicted through the cross kernel."""
-        cfg = inner_config(stopping="holdout", holdout_fraction=0.25)
+        cfg = inner_config(holdout_fraction=0.25)
         model = cfg.model()
         for rep in range(cfg.replicates):
             fit = fit_replicate(cfg, model, 64, rep)
@@ -369,9 +430,8 @@ class TestFitReplicate:
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
             K = build_kernel_matrix(fit.points, model.kernel)
             reference = cg_fit(K, fit.y, max_iter=HOLDOUT_MAX_ITER)
-            expected = holdout_select(
-                reference, model.kernel, fit.points, x_val, y_val, M_clip=model.noise.M
-            )
+            cross = model.kernel.gram(x_val, fit.points)
+            expected = holdout_select(reference.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected
             scale = np.sqrt(model.eigenvalues / n_train)
             assert np.allclose(fit.spectrum, scale * fit.trace.alphas[fit.m_hat])

@@ -113,6 +113,36 @@ class TestThresholdOuter:
         assert threshold_outer(outer_params(n=n_mid)).admissible
 
 
+#: (threshold, parameter overrides, omega as float.hex, admissible), recorded
+#: before the two literal formulas shared one implementation.
+LITERAL_PINS = [
+    (threshold_inner, inner_params, {}, "0x1.19cb3d04be39ep-2", True),
+    (threshold_inner, inner_params,
+     dict(M=0.5, kappa=2.5, D=1.7, n=300, gamma=0.1, r=0.75, s=0.3, tau_prime=1.6),
+     "0x1.3903e01006ed8p+1", False),
+    (threshold_inner, inner_params,
+     dict(M=3.0, kappa=1.2, n=2048, gamma=0.01, r=2.0, s=0.9, tau_prime=5.0),
+     "0x1.25dce4ade05d4p+3", True),
+    (threshold_outer, outer_params, {}, "0x1.254e2fff7d51bp+0", True),
+    (threshold_outer, outer_params,
+     dict(M=3.0, kappa=0.8, D=2.2, n=100, gamma=0.2, r=0.1, s=0.6, tau_prime=6.5, rho=0.5),
+     "0x1.6940bef2af6cfp+6", False),
+    (threshold_outer, outer_params,
+     dict(M=0.5, kappa=1.5, n=50000, r=0.4, s=0.2, tau_prime=12.0, rho=4.0),
+     "0x1.68e6456dae60fp-1", True),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, params, overrides, omega_hex, admissible", LITERAL_PINS,
+    ids=[f"{pin[0].__name__}-{i}" for i, pin in enumerate(LITERAL_PINS)],
+)
+def test_literal_thresholds_are_pinned_bit_for_bit(rule, params, overrides, omega_hex, admissible):
+    got = rule(params(**overrides))
+    assert got.omega.hex() == omega_hex
+    assert got.admissible is admissible
+
+
 class TestThresholdCalibrated:
     def test_anchor_value_at_reference(self):
         # At n = n_ref the threshold is (tau'/tau'_min) * C * noise floor.
@@ -226,13 +256,16 @@ class TestHoldoutSelect:
         K = build_kernel_matrix(x, self.KERNEL)
         return x, y, cg_fit(K, y, max_iter=8)
 
+    def _predictions(self, trace, x, val_x):
+        """One row per iterate: the expansion of alpha_m over x, at val_x."""
+        return trace.alphas @ self.KERNEL.gram(val_x, x).T / len(x)
+
     def test_single_candidate(self):
-        x, y, trace = self._fitted_trace()
         short = cg_fit(
             KernelMatrix(entries=np.diag([1.0, 0.5]), n=2), np.zeros(2)
         )
-        got = holdout_select(short, self.KERNEL, [0.1, 0.9], [0.5], [0.0], M_clip=1.0)
-        assert got == 0
+        preds = self._predictions(short, np.array([0.1, 0.9]), np.array([0.5]))
+        assert holdout_select(preds, [0.0], M_clip=1.0) == 0
 
     def test_zero_loss_witness(self):
         x, y, trace = self._fitted_trace(seed=3)
@@ -243,75 +276,38 @@ class TestHoldoutSelect:
 
         val_y = predict(trace.alphas[m_star], x, self.KERNEL, val_x)
         assert np.max(np.abs(val_y)) < 2.0  # clipping inactive
-        got = holdout_select(trace, self.KERNEL, x, val_x, val_y, M_clip=2.0)
+        got = holdout_select(self._predictions(trace, x, val_x), val_y, M_clip=2.0)
         assert got <= m_star
         preds = predict(trace.alphas[got], x, self.KERNEL, val_x)
         assert np.mean((preds - val_y) ** 2) <= 1e-20
 
     def test_tie_breaks_to_smallest(self):
-        class TwoStepTrace:
-            alphas = np.array([[0.0], [1.0], [1.0], [2.0]])
-
-        kernel = GaussianLike = MercerKernel(decay_exponent=2.0, truncation=5)
-        # validation point where alphas 1 and 2 predict identically
-        got = holdout_select(
-            TwoStepTrace(), kernel, [0.4], [0.4], [kernel.gram([0.4], [0.4])[0, 0]],
-            M_clip=50.0,
-        )
-        assert got == 1
+        # rows 1 and 2 predict identically, and exactly
+        preds = np.array([[0.0], [1.0], [1.0], [2.0]])
+        assert holdout_select(preds, [1.0], M_clip=50.0) == 1
 
     def test_clipping_changes_choice(self):
-        # an exploding iterate wins once its predictions are clamped back
-        class Trace:
-            alphas = np.array([[0.0], [100.0]])
-
-        kernel = MercerKernel(decay_exponent=2.0, truncation=5)
-        k00 = kernel.gram([0.2], [0.2])[0, 0]
-        label = np.array([1.0])
-        # unclipped, alpha=100 predicts 100*k00 >> 1; clipped to 1 it is exact
-        got = holdout_select(Trace(), kernel, [0.2], [0.2], label, M_clip=1.0)
-        assert got == 1
+        # an exploding iterate wins once its predictions are clamped back:
+        # unclipped, 100 >> 1; clipped to 1 it is exact
+        preds = np.array([[0.0], [100.0]])
+        assert holdout_select(preds, [1.0], M_clip=1.0) == 1
 
     def test_rejects_empty_validation(self):
-        x, y, trace = self._fitted_trace()
-        with pytest.raises(InvalidInput):
-            holdout_select(trace, self.KERNEL, x, [], [], M_clip=1.0)
+        with pytest.raises(InvalidInput, match="non-empty"):
+            holdout_select(np.zeros((3, 0)), [], M_clip=1.0)
 
-    def test_spectra_spare_the_training_points(self, monkeypatch):
-        x, y, trace = self._fitted_trace(seed=7)
-        rng = np.random.default_rng(13)
-        val_x = rng.random(9)
-        val_y = np.sin(2 * np.pi * val_x)
-        expected = holdout_select(trace, self.KERNEL, x, val_x, val_y, M_clip=1.0)
-        spectra = (trace.alphas @ self.KERNEL.basis(x)) * (self.KERNEL.eigenvalues() / x.size)
-        sizes = []
-        basis = MercerKernel.basis
-
-        def counted(kernel, points):
-            sizes.append(np.asarray(points).size)
-            return basis(kernel, points)
-
-        monkeypatch.setattr(MercerKernel, "basis", counted)
-        got = holdout_select(
-            trace, self.KERNEL, None, val_x, val_y, M_clip=1.0, spectra=spectra
-        )
-        assert got == expected
-        assert sizes == [val_x.size]
-
-    def test_rejects_mismatched_spectra(self):
-        x, y, trace = self._fitted_trace()
-        spectra = np.zeros((trace.m_last, self.KERNEL.n_modes))
-        with pytest.raises(InvalidInput, match="spectra shape"):
-            holdout_select(
-                trace, self.KERNEL, x, [0.5], [0.0], M_clip=1.0, spectra=spectra
-            )
+    def test_rejects_mismatched_predictions(self):
+        with pytest.raises(InvalidInput, match="do not fit 1 validation labels"):
+            holdout_select(np.zeros((3, 2)), [0.0], M_clip=1.0)
+        with pytest.raises(InvalidInput, match="shape"):
+            holdout_select(np.zeros(3), [0.0, 1.0, 2.0], M_clip=1.0)
 
     def test_monotone_loss_transform_invariance(self):
         x, y, trace = self._fitted_trace(seed=5)
         rng = np.random.default_rng(11)
         val_x = rng.random(15)
         val_y = np.sin(2 * np.pi * val_x)
-        got = holdout_select(trace, self.KERNEL, x, val_x, val_y, M_clip=3.0)
+        got = holdout_select(self._predictions(trace, x, val_x), val_y, M_clip=3.0)
         from kernelcg import predict
 
         losses = []
