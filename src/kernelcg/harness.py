@@ -26,6 +26,8 @@ from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, spectral_error
 from .solvers import CgTrace, GramSystem, gram_fit, ridge_path
 from .stopping import (
+    TAU_PRIME_FLOOR_INNER,
+    TAU_PRIME_FLOOR_OUTER,
     ThresholdParams,
     discrepancy_stop,
     holdout_select,
@@ -143,6 +145,11 @@ class ExperimentConfig:
         if self.threshold not in ("calibrated", "literal"):
             raise InvalidInput(
                 f"threshold must be 'calibrated' or 'literal', got {self.threshold!r}"
+            )
+        floor = TAU_PRIME_FLOOR_INNER if self.regime == "inner" else TAU_PRIME_FLOOR_OUTER
+        if self.threshold == "literal" and not self.tau_prime > floor:
+            raise InvalidInput(
+                f"literal threshold requires tau_prime > {floor:g}, got {self.tau_prime}"
             )
 
     def model(self) -> MercerModel:

@@ -49,10 +49,10 @@ class MercerKernel:
     """Cosine series kernel on [0, 1] with polynomially decaying eigenvalues.
 
     The eigenfunctions are orthonormal in L2 of the uniform measure on
-    [0, 1]: an optional constant mode phi_0(x) = 1 with eigenvalue 1, and
-    cosine modes phi_j(x) = sqrt(2) * cos(j * pi * x) with eigenvalues
+    [0, 1]: the constant mode phi_0(x) = 1 with eigenvalue 1, and cosine
+    modes phi_j(x) = sqrt(2) * cos(j * pi * x) with eigenvalues
     j ** (-decay_exponent) for j = 1..truncation. The kernel is the finite
-    sum k(x, y) = sum_j xi_j * phi_j(x) * phi_j(y).
+    sum k(x, y) = sum_j xi_j * phi_j(x) * phi_j(y) over j = 0..truncation.
 
     Parameters
     ----------
@@ -60,13 +60,10 @@ class MercerKernel:
         Eigenvalue decay rate; must exceed 1 so the trace converges.
     truncation : int
         Number of cosine modes kept.
-    include_constant : bool
-        Whether the constant mode participates (default True).
     """
 
     decay_exponent: float
     truncation: int
-    include_constant: bool = True
 
     def __post_init__(self):
         if not self.decay_exponent > 1:
@@ -77,42 +74,31 @@ class MercerKernel:
             raise InvalidInput(
                 f"truncation must be a positive integer, got {self.truncation}"
             )
-
-    @property
-    def n_modes(self) -> int:
-        return self.truncation + 1 if self.include_constant else self.truncation
+        object.__setattr__(self, "truncation", int(self.truncation))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue sequence aligned with the columns of ``basis``."""
         j = np.arange(1, self.truncation + 1, dtype=float)
-        xi = j ** (-self.decay_exponent)
-        if self.include_constant:
-            return np.concatenate(([1.0], xi))
-        return xi
+        return np.concatenate(([1.0], j ** (-self.decay_exponent)))
 
     def basis(self, points) -> np.ndarray:
-        """Eigenfunction matrix with shape (len(points), n_modes)."""
+        """Eigenfunction matrix with shape (len(points), truncation + 1)."""
         x = np.asarray(points, dtype=float).ravel()
-        first = 0 if self.include_constant else 1
-        j = np.arange(first, self.truncation + 1, dtype=float)
+        j = np.arange(self.truncation + 1, dtype=float)
         # One array, updated in place: each fresh n x modes temporary costs
         # new pages. Same operations as sqrt(2) * cos(pi * outer(x, j)).
         out = np.outer(x, j)
         out *= np.pi
         np.cos(out, out=out)
         out *= np.sqrt(2.0)
-        if self.include_constant:
-            out[:, 0] = 1.0
+        out[:, 0] = 1.0
         return out
 
     @property
     def kappa_bound(self) -> float:
-        """sup_x k(x, x), attained at x = 0: constant + 2 * sum of eigenvalues."""
+        """sup_x k(x, x), attained at x = 0: 2 * sum of cosine eigenvalues + 1."""
         j = np.arange(1, self.truncation + 1, dtype=float)
-        total = 2.0 * float(np.sum(j ** (-self.decay_exponent)))
-        if self.include_constant:
-            total += 1.0
-        return total
+        return 2.0 * float(np.sum(j ** (-self.decay_exponent))) + 1.0
 
     @property
     def kappa_tail(self) -> float:

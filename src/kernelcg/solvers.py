@@ -63,18 +63,12 @@ class CgTrace:
         Norm of Y - K @ alpha_m for m = 0..m_last, measured in the norm the
         mode minimizes (kernel-weighted for ``kn_norm``, rescaled Euclidean
         for ``euclidean``). Non-increasing in m.
-    basis_norms : list of float
-        Norm of each new basis vector before normalization, one entry per
-        attempted iteration (including the one at which breakdown was
-        declared, when it was).
     breakdown_at : int or None
         Iteration index at which the run stopped early, either because the
         basis norm fell below tolerance or because the step no longer
         reduced the residual (numerical floor reached).
     m_last : int
         Number of completed iterations.
-    mode : str
-        Which norm the run minimized.
     n : int
         Row count of the system the run solved (the rows of B for a
         ``gram_fit`` trace); no budget exceeds it.
@@ -82,10 +76,8 @@ class CgTrace:
 
     alphas: np.ndarray
     residual_norms: list[float]
-    basis_norms: list[float]
     breakdown_at: int | None
     m_last: int
-    mode: str
     n: int
 
     def __post_init__(self):
@@ -219,10 +211,10 @@ def cg_fit(
     """
     _check_mode(mode)
     y = _check_system(K, Y)
-    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0, mode, stop)
+    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0, stop)
 
 
-def _recursion(matvec, y, n, max_iter, power, mode, stop, yy=None) -> CgTrace:
+def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
     """The CG loop behind ``cg_fit`` and ``gram_fit``; ``power`` is the module's p.
 
     A is applied by ``matvec``, and power is 1, 0 or -1. The directions come
@@ -232,8 +224,7 @@ def _recursion(matvec, y, n, max_iter, power, mode, stop, yy=None) -> CgTrace:
     A^-1 t = d, so nothing more is carried: t is recomputed as A d after the
     reorthogonalization (carrying it drifts), and the norm recorded is the
     Euclidean residual of the n-row problem, sqrt((yy - 2 y.x + x.A x) / n),
-    with ``yy`` = Y.Y. ``max_iter`` is capped at n; ``mode`` is only
-    recorded in the trace.
+    with ``yy`` = Y.Y. ``max_iter`` is capped at n.
     """
     max_iter = n if max_iter is None else min(int(max_iter), n)
     if max_iter < 0:
@@ -259,7 +250,6 @@ def _recursion(matvec, y, n, max_iter, power, mode, stop, yy=None) -> CgTrace:
 
     xs = [x.copy()]
     residual_norms = [float(np.sqrt(max(residual_sq(x, r, kr) if carry else yy / n, 0.0)))]
-    basis_norms: list[float] = []
     breakdown_at: int | None = None
     break_floor: float | None = None
     if stop is not None and stop(0, residual_norms[0], x):
@@ -276,7 +266,6 @@ def _recursion(matvec, y, n, max_iter, power, mode, stop, yy=None) -> CgTrace:
         s = float(np.sqrt(max((t @ w) / n, 0.0)))
         if not np.isfinite(s):
             raise NumericalFailure(f"non-finite basis norm at iteration {i}", iteration=i)
-        basis_norms.append(s)
         if break_floor is None:
             break_floor = BREAKDOWN_RTOL * s
         if s <= break_floor:
@@ -339,10 +328,8 @@ def _recursion(matvec, y, n, max_iter, power, mode, stop, yy=None) -> CgTrace:
     return CgTrace(
         alphas=np.array(xs),
         residual_norms=residual_norms,
-        basis_norms=basis_norms,
         breakdown_at=breakdown_at,
         m_last=m_done,
-        mode=mode,
         n=n,
     )
 
@@ -368,7 +355,7 @@ def gram_fit(
     """
     _check_mode(mode)
     G, power = system.G, 0 if mode == "kn_norm" else -1
-    return _recursion(lambda v: G @ v, system.b, system.n, max_iter, power, mode, stop, system.yy)
+    return _recursion(lambda v: G @ v, system.b, system.n, max_iter, power, stop, system.yy)
 
 
 def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:

@@ -106,7 +106,7 @@ def threshold_inner(p: ThresholdParams) -> ThresholdResult:
     with e = (2r + 1) / (2r + s). Requires tau' > 3/2 and r >= 1/2.
     Admissible when n >= 16 * D^2 * log^2(6/gamma).
     """
-    if not p.tau_prime > 1.5:
+    if not p.tau_prime > TAU_PRIME_FLOOR_INNER:
         raise InvalidInput(
             f"inner regime requires tau_prime > 3/2, got {p.tau_prime}"
         )
@@ -123,7 +123,7 @@ def threshold_outer(p: ThresholdParams) -> ThresholdResult:
     Admissible when n >= 16 * D^2 * log^2(4/gamma); the 6 inside the
     threshold and the 4 inside the admissibility bound are both intentional.
     """
-    if not p.tau_prime > 6.0:
+    if not p.tau_prime > TAU_PRIME_FLOOR_OUTER:
         raise InvalidInput(f"outer regime requires tau_prime > 6, got {p.tau_prime}")
     if not p.r < 0.5:
         raise InvalidInput(f"outer regime requires r < 1/2, got r={p.r}")

@@ -70,21 +70,17 @@ class MercerModel:
     rho : float
         Source norm scale; the constraint on the source coefficients is
         saturated exactly at kappa**(-r) * rho.
-    truncation : int
-        Number of cosine modes.
-    include_constant : bool
-        Whether the constant eigenfunction participates.
+    kernel : MercerKernel
+        The cosine kernel with decay exponent 1/s, built once by ``make_model``.
     eigenvalues : ndarray
-        Kernel eigenvalues aligned with the basis columns.
+        ``kernel.eigenvalues()``, aligned with the basis columns.
     source_coeffs : ndarray
         Coefficients u_j of the source element.
     target_coeffs : ndarray
         Coefficients of the target: eigenvalues**r * source_coeffs.
     noise : UniformBounded or GaussianBernstein
     kappa : float
-        Kernel diagonal bound.
-    kappa_tail : float
-        Bound on the diagonal mass lost to truncation.
+        Kernel diagonal bound ``kernel.kappa_bound``.
     sup_f : float
         Bound on |target|: sum of |coefficient| * sup|eigenfunction|.
     ed_constant : float
@@ -94,14 +90,12 @@ class MercerModel:
     s: float
     r: float
     rho: float
-    truncation: int
-    include_constant: bool
+    kernel: MercerKernel
     eigenvalues: np.ndarray
     source_coeffs: np.ndarray
     target_coeffs: np.ndarray
     noise: NoiseSpec
     kappa: float
-    kappa_tail: float
     sup_f: float
     ed_constant: float
 
@@ -110,14 +104,6 @@ class MercerModel:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def kernel(self) -> MercerKernel:
-        return MercerKernel(
-            decay_exponent=1.0 / self.s,
-            truncation=self.truncation,
-            include_constant=self.include_constant,
-        )
 
     @property
     def noise_std(self) -> float:
@@ -177,7 +163,6 @@ def make_model(
     truncation: int = 2000,
     noise: NoiseSpec | None = None,
     u_profile: str | int = "inverse_index",
-    include_constant: bool = True,
 ) -> MercerModel:
     """Build a model whose smoothness constraint is saturated exactly.
 
@@ -190,7 +175,8 @@ def make_model(
     rho : float
         Source norm scale, positive.
     truncation : int
-        Number of cosine modes, at least 10.
+        Number of cosine modes, at least 10; the kernel has truncation + 1
+        modes, the constant mode first.
     noise : UniformBounded or GaussianBernstein, optional
         Defaults to UniformBounded(M=1).
     u_profile : "inverse_index" or int
@@ -199,8 +185,6 @@ def make_model(
         across the whole spectrum. An integer selects a one-hot source on
         that mode index, which makes the target a single closed-form
         eigenfunction.
-    include_constant : bool
-        Whether the constant mode participates.
     """
     if not 0 < s < 1:
         raise InvalidInput(f"s must lie in (0, 1), got {s}")
@@ -213,18 +197,13 @@ def make_model(
     if noise is None:
         noise = UniformBounded(M=1.0)
 
-    kernel = MercerKernel(
-        decay_exponent=1.0 / s, truncation=truncation, include_constant=include_constant
-    )
+    kernel = MercerKernel(decay_exponent=1.0 / s, truncation=truncation)
     xi = kernel.eigenvalues()
     kappa = kernel.kappa_bound
 
     if u_profile == "inverse_index":
-        if include_constant:
-            j = np.arange(1, truncation + 1, dtype=float)
-            weights = np.concatenate(([1.0], 1.0 / j))
-        else:
-            weights = 1.0 / np.arange(1, truncation + 1, dtype=float)
+        j = np.arange(1, truncation + 1, dtype=float)
+        weights = np.concatenate(([1.0], 1.0 / j))
     elif isinstance(u_profile, int) and not isinstance(u_profile, bool):
         if not 0 <= u_profile < xi.size:
             raise InvalidInput(
@@ -242,8 +221,7 @@ def make_model(
     c_star = xi**r * u
 
     sup_phi = np.full(xi.size, math.sqrt(2.0))
-    if include_constant:
-        sup_phi[0] = 1.0
+    sup_phi[0] = 1.0
     sup_f = float(np.sum(np.abs(c_star) * sup_phi))
 
     if isinstance(noise, UniformBounded) and not noise.M > sup_f:
@@ -256,14 +234,12 @@ def make_model(
         s=float(s),
         r=float(r),
         rho=float(rho),
-        truncation=int(truncation),
-        include_constant=bool(include_constant),
+        kernel=kernel,
         eigenvalues=xi,
         source_coeffs=u,
         target_coeffs=c_star,
         noise=noise,
         kappa=float(kappa),
-        kappa_tail=float(kernel.kappa_tail),
         sup_f=sup_f,
         ed_constant=_fit_ed_constant(xi, kappa, s),
     )
@@ -356,12 +332,11 @@ def model_to_dict(model: MercerModel) -> dict:
         "s": model.s,
         "r": model.r,
         "rho": model.rho,
-        "truncation": model.truncation,
-        "include_constant": model.include_constant,
+        "truncation": model.kernel.truncation,
         "noise": noise_to_dict(model.noise),
         "u_profile": _infer_u_profile(model),
         "kappa": model.kappa,
-        "kappa_tail": model.kappa_tail,
+        "kappa_tail": model.kernel.kappa_tail,
         "sup_f": model.sup_f,
         "ed_constant": model.ed_constant,
     }

@@ -341,6 +341,25 @@ def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "base, tau_prime, message",
+    [(None, 1.2, "tau_prime > 1.5"), (SHIPPED_OUTER, 5.0, "tau_prime > 6")],
+    ids=["inner", "outer"],
+)
+def test_literal_threshold_below_its_floor_leaves_no_out_directory(
+    tmp_path, capsys, base, tau_prime, message
+):
+    # The literal thresholds reject tau_prime at or below the regime floor;
+    # the config check does so before --out exists, not on the first replicate.
+    d = inner_dict() if base is None else json.loads(Path(base).read_text())
+    d.update(threshold="literal", tau_prime=tau_prime)
+    out = tmp_path / "out"
+    rc = cli.main(["rates", "--config", write_config(tmp_path, d), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["rates", "holdout"])
 def test_holdout_split_without_training_data_leaves_no_out_directory(
     tmp_path, capsys, subcommand

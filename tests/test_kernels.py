@@ -15,7 +15,7 @@ from kernelcg import (
 
 def series_gram_entry(kernel: MercerKernel, x: float, y: float) -> float:
     """Independent double-loop evaluation of the truncated series."""
-    total = 1.0 if kernel.include_constant else 0.0
+    total = 1.0
     for j in range(1, kernel.truncation + 1):
         xi = j ** (-kernel.decay_exponent)
         total += xi * 2.0 * np.cos(j * np.pi * x) * np.cos(j * np.pi * y)
@@ -49,7 +49,7 @@ class TestKernelSpecs:
         for kernel in (
             GaussianKernel(bandwidth=0.3),
             MercerKernel(decay_exponent=2.0, truncation=100),
-            MercerKernel(decay_exponent=4.0, truncation=100, include_constant=False),
+            MercerKernel(decay_exponent=4.0, truncation=100),
         ):
             diag = np.diag(kernel.gram(x, x))
             assert np.all(diag <= kernel.kappa_bound + 1e-12)
@@ -69,9 +69,7 @@ def reference_basis(kernel: MercerKernel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     j = np.arange(1, kernel.truncation + 1, dtype=float)
     cos_part = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, j))
-    if kernel.include_constant:
-        return np.hstack([np.ones((x.size, 1)), cos_part])
-    return cos_part
+    return np.hstack([np.ones((x.size, 1)), cos_part])
 
 
 def assert_frozen(a: np.ndarray) -> None:
@@ -86,27 +84,24 @@ class TestOperatorBuild:
     @given(
         st.integers(min_value=0, max_value=300),
         st.integers(min_value=1, max_value=450),
-        st.booleans(),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_basis_matches_formula(self, n, truncation, include_constant, seed):
-        kernel = MercerKernel(2.0, truncation, include_constant=include_constant)
+    def test_basis_matches_formula(self, n, truncation, seed):
+        kernel = MercerKernel(2.0, truncation)
         x = np.random.default_rng(seed).random(n)
         phi = kernel.basis(x)
-        assert phi.shape == (n, kernel.n_modes)
+        assert phi.shape == (n, truncation + 1)
         assert np.array_equal(phi, reference_basis(kernel, x))
 
-    @pytest.mark.parametrize("include_constant", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 37, 1000])
-    def test_basis_edge_and_large_sizes(self, n, include_constant):
-        kernel = MercerKernel(1.5, 400, include_constant=include_constant)
+    def test_basis_edge_and_large_sizes(self, n):
+        kernel = MercerKernel(1.5, 400)
         x = np.concatenate(([0.0, 1.0], np.random.default_rng(n).random(n)))[:n]
         assert np.array_equal(kernel.basis(x), reference_basis(kernel, x))
 
-    @pytest.mark.parametrize("include_constant", [True, False])
-    def test_operators_match_formulas_and_are_frozen(self, include_constant):
-        kernel = MercerKernel(2.0, 120, include_constant=include_constant)
+    def test_operators_match_formulas_and_are_frozen(self):
+        kernel = MercerKernel(2.0, 120)
         x = np.random.default_rng(5).random(64)
         phi, xi, n = reference_basis(kernel, x), kernel.eigenvalues(), x.size
         g = (phi * xi) @ phi.T

@@ -159,7 +159,6 @@ class TestTraceInvariants:
         assert seen == [0]
         assert trace.m_last == 0
         assert trace.alphas.shape == (1, 8)
-        assert trace.basis_norms == []
         assert trace.breakdown_at is None
 
     @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
@@ -183,7 +182,6 @@ class TestTraceInvariants:
         b = cg_fit(K, y)
         assert np.array_equal(a.alphas, b.alphas)
         assert a.residual_norms == b.residual_norms
-        assert a.basis_norms == b.basis_norms
 
 
 def gram_of(K: KernelMatrix, y) -> tuple[np.ndarray, GramSystem]:

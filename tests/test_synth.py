@@ -29,7 +29,7 @@ class TestMakeModel:
         model = make_model(s=0.5, r=1.0, rho=1.0, truncation=2000)
         assert model.kappa == pytest.approx(4.2890, abs=5e-4)
         limit = 1 + math.pi**2 / 3
-        assert abs(model.kappa - limit) <= model.kappa_tail
+        assert abs(model.kappa - limit) <= model.kernel.kappa_tail
 
     def test_source_norm_saturated(self):
         for profile in ("inverse_index", 1, 0):
@@ -187,10 +187,16 @@ class TestSerialization:
         again = make_model(
             s=d["s"], r=d["r"], rho=d["rho"], truncation=d["truncation"],
             noise=noise_from_dict(d["noise"]), u_profile=d["u_profile"],
-            include_constant=d["include_constant"],
         )
         assert np.array_equal(again.target_coeffs, model.target_coeffs)
         assert again.identifier() == model.identifier()
+
+    def test_model_dict_keys(self):
+        # Generating parameters and derived scalars, nothing else.
+        assert set(model_to_dict(small_model())) == {
+            "s", "r", "rho", "truncation", "noise", "u_profile",
+            "kappa", "kappa_tail", "sup_f", "ed_constant",
+        }
 
     def test_sample_roundtrip(self):
         # JSON keeps every float of a sample bit for bit.
