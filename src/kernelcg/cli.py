@@ -70,13 +70,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise InvalidInput(f"config file not found: {path}")
-    with open(path) as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"config file {path} is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"config file {path} cannot be read: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -215,7 +215,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CONFIG
     try:
         cfg = _effective_config(args)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot create output directory {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INVALID_CONFIG
         return _COMMANDS[args.subcommand](args, cfg)
     except InvalidInput as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -198,8 +198,7 @@ def effective_dimension(
 
     When the listed eigenvalues continue as index**(-tail_decay) beyond
     index ``tail_from``, the neglected mass is bounded by the integral of
-    1 / (1 + lam * t**tail_decay) from tail_from to infinity, evaluated
-    numerically.
+    1 / (1 + lam * t**tail_decay) from tail_from to infinity (``_tail_integral``).
     """
     if not lam > 0:
         raise InvalidInput(f"lambda must be positive, got {lam}")
@@ -217,13 +216,29 @@ def effective_dimension(
             raise InvalidInput(
                 f"tail_decay must exceed 1 for the tail to converge, got {tail_decay}"
             )
-        # Imported here: scipy.integrate adds about 0.5 s to start-up and no
-        # subcommand asks for the tail bound.
-        import scipy.integrate
-
-        # substitute u = 1/t so the domain is the finite interval (0, 1/tail_from];
-        # quad on a half-line with a large lower limit silently underestimates
-        d = float(tail_decay)
-        integrand = lambda u: u ** (d - 2.0) / (u**d + lam)
-        tail, _ = scipy.integrate.quad(integrand, 0.0, 1.0 / float(tail_from))
+        tail = _tail_integral(float(tail_decay), float(lam), float(tail_from))
     return EffectiveDimension(truncated_sum=truncated, tail_bound=float(tail))
+
+
+def _tail_integral(d: float, lam: float, t0: float) -> float:
+    """Integral of 1 / (1 + lam * t**d) over [t0, inf), for d > 1.
+
+    It is lam**(-1/d) * F(a), a = lam**(1/d) * t0, F(a) the integral of
+    1 / (1 + v**d) over [a, inf). For a <= 1, F(a) is the complete integral
+    (pi/d) / sin(pi/d) less the integral over [0, a]; for a > 1, v = y**(1/(1-d))
+    makes it the integral of 1 / (1 + y**(d/(d-1))) over [0, a**(1-d)], over d - 1.
+    """
+    scale = lam ** (-1.0 / d)
+    a = t0 / scale
+    if a <= 1.0:
+        return scale * (math.pi / d / math.sin(math.pi / d) - _power_integral(a, d))
+    return scale * _power_integral(a ** (1.0 - d), d / (d - 1.0)) / (d - 1.0)
+
+
+def _power_integral(b: float, p: float) -> float:
+    """Integral of 1 / (1 + v**p) over [0, b], b <= 1 < p: 64-point Gauss-Legendre
+    in u, v = b * u**2, which smooths the term v**p to u**(2p + 1) at 0."""
+    from numpy.polynomial.legendre import leggauss  # kept out of import kernelcg
+    x, w = leggauss(64)
+    u = 0.5 * (x + 1.0)
+    return float(np.dot(w, b * u / (1.0 + (b * u * u) ** p)))

@@ -38,6 +38,7 @@ from .stopping import (
 from .synth import (
     MercerModel,
     NoiseSpec,
+    _finite,
     draw_sample,
     make_model,
     noise_from_dict,
@@ -240,17 +241,17 @@ class ExperimentConfig:
             s=_field("model.s", _finite, model["s"]),
             r=_field("model.r", _finite, model["r"]),
             rho=_field("model.rho", _finite, model["rho"]),
-            J=_field("model.J", int, model["J"]),
+            J=_field("model.J", _integer, model["J"]),
             noise=_field("model.noise", noise_from_dict, model["noise"]),
             regime=str(d["regime"]),
-            n_grid=_field("n_grid", lambda v: tuple(int(n) for n in v), d["n_grid"]),
-            replicates=_field("replicates", int, d["replicates"]),
+            n_grid=_field("n_grid", lambda v: tuple(_integer(n) for n in v), d["n_grid"]),
+            replicates=_field("replicates", _integer, d["replicates"]),
             gamma=_field("gamma", _finite, d["gamma"]),
             tau_prime=_field("tau_prime", _finite, d["tau_prime"]),
             theta_list=_field(
                 "theta_list", lambda v: tuple(_finite(t) for t in v), d["theta_list"]
             ),
-            master_seed=_field("master_seed", int, d["master_seed"]),
+            master_seed=_field("master_seed", _integer, d["master_seed"]),
             holdout_fraction=holdout_fraction,
             threshold=str(d.get("threshold", "calibrated")),
             u_profile=model.get("u_profile", "inverse_index"),
@@ -270,12 +271,11 @@ def _field(name: str, convert, value):
         raise InvalidInput(f"config field {name!r} is invalid ({value!r}): {exc}") from exc
 
 
-def _finite(value) -> float:
-    """float(value), refusing the Infinity and NaN that Python's JSON parser accepts."""
-    x = float(value)
-    if not np.isfinite(x):
-        raise ValueError("not a finite number")
-    return x
+def _integer(value) -> int:
+    """A whole JSON number as an int; booleans, strings and fractions are refused."""
+    if isinstance(value, (bool, str)) or int(value) != value:
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def canonical_json(obj) -> str:

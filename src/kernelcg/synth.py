@@ -316,12 +316,19 @@ def noise_to_dict(noise: NoiseSpec) -> dict:
     return {"kind": kind, "M": noise.M}
 
 
+def _finite(value) -> float:
+    """A JSON number as a float; booleans, strings, Infinity and NaN are refused."""
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
+
+
 def noise_from_dict(d: dict) -> NoiseSpec:
     kind = d.get("kind")
     if kind == "uniform_bounded":
-        return UniformBounded(M=float(d["M"]))
+        return UniformBounded(M=_finite(d["M"]))
     if kind == "gaussian_bernstein":
-        return GaussianBernstein(M=float(d["M"]))
+        return GaussianBernstein(M=_finite(d["M"]))
     raise InvalidInput(f"unknown noise kind {kind!r}")
 
 

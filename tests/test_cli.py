@@ -103,11 +103,27 @@ def with_model(**overrides):
         (with_model(noise={"kind": "gaussian_bernstein", "M": math.inf}), "model.noise"),
         (with_model(J=math.inf), "model.J"),
         (inner_dict(replicates=math.inf), "replicates"),
+        # Integers are whole JSON numbers, never truncated; no number is a string or a bool.
+        (inner_dict(n_grid=[16.9, 32]), "n_grid"),
+        (inner_dict(replicates=2.7), "replicates"),
+        (inner_dict(master_seed=7.5), "master_seed"),
+        (with_model(J=60.5), "model.J"),
+        (with_model(s="0.5"), "model.s"),
+        (with_model(J="60"), "model.J"),
+        (inner_dict(master_seed="11"), "master_seed"),
+        (inner_dict(tau_prime="2.0"), "tau_prime"),
+        (with_model(noise={"kind": "uniform_bounded", "M": "1.0"}), "model.noise"),
+        (inner_dict(replicates=True), "replicates"),
+        (inner_dict(n_grid=[16, True]), "n_grid"),
+        (with_model(noise={"kind": "gaussian_bernstein", "M": True}), "model.noise"),
     ],
     ids=[
         "n_grid", "model.s", "replicates", "theta_list", "noise_without_M", "noise_number",
         "inf_tau_prime", "inf_r", "inf_rho", "inf_uniform_M", "inf_gaussian_M", "inf_J",
-        "inf_replicates",
+        "inf_replicates", "fractional_n_grid", "fractional_replicates",
+        "fractional_master_seed", "fractional_J", "string_s", "string_J",
+        "string_master_seed", "string_tau_prime", "string_M", "bool_replicates",
+        "bool_n_grid", "bool_M",
     ],
 )
 def test_field_of_the_wrong_type_is_named_without_a_traceback(tmp_path, capsys, d, field):
@@ -116,6 +132,24 @@ def test_field_of_the_wrong_type_is_named_without_a_traceback(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("invalid config:")
     assert repr(field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8", "out_is_a_file"])
+def test_unusable_path_is_named_without_a_traceback(tmp_path, capsys, case):
+    config, out = write_config(tmp_path, inner_dict()), str(tmp_path / "out")
+    if case == "config_is_a_directory":
+        config = str(tmp_path)
+    elif case == "config_not_utf8":
+        config = str(tmp_path / "latin1.json")
+        text = json.dumps(inner_dict(regime="inn\xe9r"), ensure_ascii=False)
+        Path(config).write_bytes(text.encode("latin-1"))
+    else:
+        Path(out).write_text("")
+    rc = cli.main(["rates", "--config", config, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert (out if case == "out_is_a_file" else config) in err
     assert "Traceback" not in err
 
 
@@ -466,15 +500,19 @@ codes = [
     cli.main([name, "--config", cfg, "--out", f"{out}/{name}", "--quiet"])
     for name in ("fit", "simulate", "rates", "holdout", "compare")
 ]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.polynomial")
+)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_subcommands_never_import_scipy_or_numpy_ma(tmp_path):
-    # scipy adds about 0.5 s to every start-up; only the effective-dimension
-    # tail bound needs it, and no subcommand calls it. numpy.ma (about 18 ms)
-    # comes with numpy's median and percentile, which the sweeps do not use.
+    # The package does not depend on scipy, which would add about 0.5 s to
+    # every start-up. numpy.ma (about 18 ms) comes with numpy's median and
+    # percentile, which the sweeps do not use; numpy.polynomial serves only the
+    # effective-dimension tail bound, which no subcommand calls.
     cfg_path = write_config(tmp_path, inner_dict())
     proc = subprocess.run(
         [sys.executable, "-c", COLD_PATH_SCRIPT, cfg_path, str(tmp_path / "out")],

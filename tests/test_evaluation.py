@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +227,64 @@ class TestEffectiveDimension:
         assert ed.truncated_sum <= closed <= ed.value
         assert ed.tail_bound < 1e-3
         assert ed.value == pytest.approx(closed, abs=ed.tail_bound)
+
+    def test_tail_far_below_the_knee_is_the_complete_integral_less_t0(self):
+        # lam * t0**d = 1.6e-9, so the integrand is 1 to that accuracy on
+        # [0, t0]: the tail is the complete integral minus t0 up to ~1e-17.
+        d, lam, t0 = 1.2, 1e-10, 10
+        ed = effective_dimension(np.arange(1, 11.0) ** -d, lam, tail_decay=d, tail_from=t0)
+        exact = lam ** (-1 / d) * (math.pi / d) / math.sin(math.pi / d) - t0
+        assert ed.tail_bound == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 1 - 1e-9, 1 + 1e-9, 7.0, 1e4])
+    @pytest.mark.parametrize("lam", [1e-10, 1e-2, 1.0, 1e3])
+    def test_quadratic_tail_matches_arctan(self, lam, a):
+        # d = 2: the integral of 1/(1 + lam t**2) over [t0, inf) is
+        # atan(1/(sqrt(lam) t0))/sqrt(lam); a = sqrt(lam) t0 splits the two branches.
+        t0 = a / math.sqrt(lam)
+        tail = effective_dimension([1.0], lam, tail_decay=2.0, tail_from=t0).tail_bound
+        assert tail == pytest.approx(math.atan(1.0 / a) / math.sqrt(lam), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 10.0])
+    @pytest.mark.parametrize("lam", [1e-10, 1.0, 1e3])
+    def test_cubic_tail_matches_antiderivative(self, lam, a):
+        # The integral of 1/(1 + v**3) over [a, inf), from the elementary
+        # antiderivative log(1+v)/3 - log(v*v - v + 1)/6 + atan((2v-1)/sqrt(3))/sqrt(3).
+        r3 = math.sqrt(3.0)
+        tail_v = (
+            math.atan2(r3, 2 * a - 1) / r3
+            - math.log1p(3 * a / (a * a - a + 1)) / 6
+        )
+        t0 = a * lam ** (-1 / 3)
+        tail = effective_dimension([1.0], lam, tail_decay=3.0, tail_from=t0).tail_bound
+        assert tail == pytest.approx(lam ** (-1 / 3) * tail_v, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1.2, 4 / 3, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e3])
+    def test_tail_from_near_zero_is_the_complete_integral(self, d, lam):
+        tail = effective_dimension([1.0], lam, tail_decay=d, tail_from=1e-300).tail_bound
+        complete = lam ** (-1 / d) * (math.pi / d) / math.sin(math.pi / d)
+        assert tail == pytest.approx(complete, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1.05, 1.2, 4 / 3, 2.0, 2.5, 4.0])
+    def test_tail_is_continuous_where_the_branches_meet(self, d):
+        lam = 1e-4
+        below, above = (
+            effective_dimension([1.0], lam, tail_decay=d, tail_from=a * lam ** (-1 / d)).tail_bound
+            for a in (1 - 1e-12, 1 + 1e-12)
+        )
+        assert below == pytest.approx(above, rel=1e-11)
+
+    def test_tail_bound_needs_no_scipy(self):
+        script = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from kernelcg import effective_dimension\n"
+            "print(effective_dimension([1.0], 1.0, tail_decay=4 / 3, tail_from=2).tail_bound)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        here = effective_dimension([1.0], 1.0, tail_decay=4 / 3, tail_from=2)
+        assert float(proc.stdout) == here.tail_bound > 0.0
 
     def test_single_eigenvalue_balance_point(self):
         ed = effective_dimension([0.7], 0.7)
