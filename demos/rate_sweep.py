@@ -13,7 +13,6 @@ from kernelcg import ExperimentConfig, UniformBounded, run_experiment
 config = ExperimentConfig(
     s=0.5, r=1.0, rho=1.0, J=400,
     noise=UniformBounded(1.0),
-    regime="inner",
     n_grid=(64, 128, 256, 512, 1024, 2048),
     replicates=20,
     gamma=0.05,

@@ -14,7 +14,6 @@ from kernelcg import CompareReport, ExperimentConfig, UniformBounded, compare_so
 config = ExperimentConfig(
     s=0.5, r=1.0, rho=1.0, J=200,
     noise=UniformBounded(1.0),
-    regime="inner",
     n_grid=(64, 128, 256),
     replicates=5,
     gamma=0.05,

@@ -67,7 +67,10 @@ class ExperimentConfig:
     """Full description of one rate experiment.
 
     The JSON form documented in the README mirrors these fields, with the
-    model parameters nested under a "model" key.
+    model parameters nested under "model" and the hold-out fraction under
+    "stopping". ``__post_init__`` reads and checks every field, whether the
+    config comes from ``from_dict`` or this constructor; a bad value is an
+    InvalidInput naming its JSON path. ``r`` decides the regime.
     """
 
     s: float
@@ -75,7 +78,6 @@ class ExperimentConfig:
     rho: float
     J: int
     noise: NoiseSpec
-    regime: str
     n_grid: tuple[int, ...]
     replicates: int
     gamma: float
@@ -87,10 +89,13 @@ class ExperimentConfig:
     u_profile: str | int = "inverse_index"
 
     def __post_init__(self) -> None:
-        if self.regime not in ("inner", "outer"):
-            raise InvalidInput(f"regime must be 'inner' or 'outer', got {self.regime!r}")
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
+        for name, (path, read) in _READERS.items():
+            object.__setattr__(self, name, _field(path, read, getattr(self, name)))
+        if not isinstance(self.noise, NoiseSpec):
+            raise InvalidInput(
+                f"config field 'model.noise' is invalid ({self.noise!r}): not a noise spec"
+            )
+        grid = self.n_grid
         if len(grid) < 2:
             raise InvalidInput("n_grid needs at least 2 points")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -101,35 +106,29 @@ class ExperimentConfig:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.gamma < 1.0:
             raise InvalidInput(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 < self.tau_prime < np.inf:
-            raise InvalidInput(
-                f"tau_prime must be positive and finite, got {self.tau_prime}"
-            )
-        thetas = tuple(float(t) for t in self.theta_list)
-        object.__setattr__(self, "theta_list", thetas)
+        if not self.tau_prime > 0:
+            raise InvalidInput(f"tau_prime must be positive, got {self.tau_prime}")
+        thetas = self.theta_list
         if not thetas:
             raise InvalidInput("theta_list must be non-empty")
         for t in thetas:
             if not 0.0 <= t <= 0.5:
                 raise InvalidInput(f"theta_list entries must lie in [0, 1/2], got {t}")
-        if self.regime == "inner":
-            if self.r < 0.5:
-                raise InvalidInput(f"inner regime requires r >= 1/2, got r={self.r}")
-        else:
-            if not self.r < 0.5:
-                raise InvalidInput(f"outer regime requires r < 1/2, got r={self.r}")
+        if len({f"{t:g}" for t in thetas}) < len(thetas):  # each names a plot file
+            raise InvalidInput(f"theta_list entries must be distinct to 6 digits: {thetas}")
+        outer = self.regime == "outer"
+        if outer:
             if self.r + self.s < 0.5:
                 raise InvalidInput(
                     f"outer regime requires r + s >= 1/2, got {self.r + self.s}"
                 )
-            for t in thetas:
-                if t >= self.r:
-                    raise InvalidInput(
-                        f"outer regime requires theta < r, got theta={t}, r={self.r}"
-                    )
+            if max(thetas) >= self.r:
+                raise InvalidInput(
+                    f"outer regime requires theta < r, got theta={max(thetas)}, r={self.r}"
+                )
         f = self.holdout_fraction
         if f is not None:
-            if self.regime == "outer":
+            if outer:
                 raise InvalidInput(
                     "holdout stopping is not defined for the outer regime: "
                     "the padded responses are rescaled and zero-filled"
@@ -147,30 +146,24 @@ class ExperimentConfig:
             raise InvalidInput(
                 f"threshold must be 'calibrated' or 'literal', got {self.threshold!r}"
             )
-        floor = TAU_PRIME_FLOOR_INNER if self.regime == "inner" else TAU_PRIME_FLOOR_OUTER
+        floor = TAU_PRIME_FLOOR_OUTER if outer else TAU_PRIME_FLOOR_INNER
         if self.threshold == "literal" and not self.tau_prime > floor:
             raise InvalidInput(
                 f"literal threshold requires tau_prime > {floor:g}, got {self.tau_prime}"
             )
 
+    @property
+    def regime(self) -> str:
+        """'inner' when r >= 1/2 puts the target in the RKHS, else 'outer'."""
+        return _regime(self.r)
+
     def model(self) -> MercerModel:
-        return make_model(
-            s=self.s,
-            r=self.r,
-            rho=self.rho,
-            truncation=self.J,
-            noise=self.noise,
-            u_profile=self.u_profile,
-        )
+        return make_model(s=self.s, r=self.r, rho=self.rho, truncation=self.J,
+                          noise=self.noise, u_profile=self.u_profile)
 
     def to_dict(self) -> dict:
-        model: dict = {
-            "s": self.s,
-            "r": self.r,
-            "rho": self.rho,
-            "J": self.J,
-            "noise": noise_to_dict(self.noise),
-        }
+        model: dict = {"s": self.s, "r": self.r, "rho": self.rho, "J": self.J,
+                       "noise": noise_to_dict(self.noise)}
         if self.u_profile != "inverse_index":
             model["u_profile"] = self.u_profile
         stopping: object = "discrepancy"
@@ -193,69 +186,59 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Map a JSON config onto the fields; ``__post_init__`` reads the values."""
         if not isinstance(d, dict):
             raise InvalidInput("config must be a JSON object")
-        known = {
-            "model", "regime", "n_grid", "replicates", "gamma", "tau_prime",
-            "theta_list", "master_seed", "stopping", "threshold",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidInput(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        missing = known - {"stopping", "threshold"} - set(d)
-        if missing:
-            raise InvalidInput(f"missing config field(s): {', '.join(sorted(missing))}")
+        numbers = {"n_grid", "replicates", "gamma", "tau_prime", "theta_list", "master_seed"}
+        _check_keys(d, "config", numbers | {"model"}, {"regime", "stopping", "threshold"})
         model = d["model"]
         if not isinstance(model, dict):
             raise InvalidInput("config field 'model' must be an object")
-        model_known = {"s", "r", "rho", "J", "noise", "u_profile"}
-        unknown = set(model) - model_known
-        if unknown:
-            raise InvalidInput(f"unknown model field(s): {', '.join(sorted(unknown))}")
-        model_missing = model_known - {"u_profile"} - set(model)
-        if model_missing:
+        _check_keys(model, "model", {"s", "r", "rho", "J", "noise"}, {"u_profile"})
+        # Before the outer-regime checks, so a stated regime that r contradicts is named.
+        if "regime" in d and d["regime"] != _field("model.r", _regime, model["r"]):
             raise InvalidInput(
-                f"missing model field(s): {', '.join(sorted(model_missing))}"
+                f"config field 'regime' is {d['regime']!r}, but r={model['r']!r} decides it: "
+                "r >= 1/2 is 'inner', r < 1/2 is 'outer'"
             )
-        stopping_raw = d.get("stopping", "discrepancy")
+        stopping = d.get("stopping", "discrepancy")
         holdout_fraction = None
-        if isinstance(stopping_raw, dict):
-            if stopping_raw.get("kind") != "holdout":
-                raise InvalidInput(
-                    "config field 'stopping' object must have kind='holdout'"
-                )
-            extra = set(stopping_raw) - {"kind", "fraction"}
-            if extra:
-                raise InvalidInput(
-                    f"unknown stopping field(s): {', '.join(sorted(extra))}"
-                )
-            if "fraction" not in stopping_raw:
+        if isinstance(stopping, dict):
+            if stopping.get("kind") != "holdout":
+                raise InvalidInput("config field 'stopping' object must have kind='holdout'")
+            _check_keys(stopping, "stopping", {"kind"}, {"fraction"})
+            if "fraction" not in stopping:
                 raise InvalidInput("stopping field 'fraction' is required for holdout")
-            holdout_fraction = _field("stopping.fraction", _finite, stopping_raw["fraction"])
-        elif stopping_raw != "discrepancy":
+            holdout_fraction = stopping["fraction"]
+        elif stopping != "discrepancy":
             raise InvalidInput(
                 f"config field 'stopping' must be 'discrepancy' or a holdout object, "
-                f"got {stopping_raw!r}"
+                f"got {stopping!r}"
             )
         return ExperimentConfig(
-            s=_field("model.s", _finite, model["s"]),
-            r=_field("model.r", _finite, model["r"]),
-            rho=_field("model.rho", _finite, model["rho"]),
-            J=_field("model.J", _integer, model["J"]),
+            s=model["s"], r=model["r"], rho=model["rho"], J=model["J"],
             noise=_field("model.noise", noise_from_dict, model["noise"]),
-            regime=str(d["regime"]),
-            n_grid=_field("n_grid", lambda v: tuple(_integer(n) for n in v), d["n_grid"]),
-            replicates=_field("replicates", _integer, d["replicates"]),
-            gamma=_field("gamma", _finite, d["gamma"]),
-            tau_prime=_field("tau_prime", _finite, d["tau_prime"]),
-            theta_list=_field(
-                "theta_list", lambda v: tuple(_finite(t) for t in v), d["theta_list"]
-            ),
-            master_seed=_field("master_seed", _integer, d["master_seed"]),
-            holdout_fraction=holdout_fraction,
-            threshold=str(d.get("threshold", "calibrated")),
+            n_grid=d["n_grid"], replicates=d["replicates"], gamma=d["gamma"],
+            tau_prime=d["tau_prime"], theta_list=d["theta_list"],
+            master_seed=d["master_seed"], holdout_fraction=holdout_fraction,
+            threshold=d.get("threshold", "calibrated"),
             u_profile=model.get("u_profile", "inverse_index"),
         )
+
+
+def _regime(r: float) -> str:
+    """The regime ``r`` puts a target in: the RKHS holds it when r >= 1/2."""
+    return "inner" if r >= 0.5 else "outer"
+
+
+def _check_keys(obj: dict, what: str, required: set, optional: set) -> None:
+    """Refuse keys of config object ``what`` that are unknown or missing."""
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise InvalidInput(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
+    missing = required - set(obj)
+    if missing:
+        raise InvalidInput(f"missing {what} field(s): {', '.join(sorted(missing))}")
 
 
 def _n_val(fraction: float, n: int) -> int:
@@ -276,6 +259,18 @@ def _integer(value) -> int:
     if isinstance(value, (bool, str)) or int(value) != value:
         raise ValueError("not a whole number")
     return int(value)
+
+
+#: JSON path and reader of each number field, in field order.
+_READERS = dict(
+    s=("model.s", _finite), r=("model.r", _finite), rho=("model.rho", _finite),
+    J=("model.J", _integer), n_grid=("n_grid", lambda v: tuple(map(_integer, v))),
+    replicates=("replicates", _integer), gamma=("gamma", _finite),
+    tau_prime=("tau_prime", _finite),
+    theta_list=("theta_list", lambda v: tuple(map(_finite, v))),
+    master_seed=("master_seed", _integer),
+    holdout_fraction=("stopping.fraction", lambda v: None if v is None else _finite(v)),
+)
 
 
 def canonical_json(obj) -> str:

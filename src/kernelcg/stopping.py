@@ -89,14 +89,18 @@ class ThresholdResult:
     admissible: bool
 
 
-def _literal(p: ThresholdParams, scale: float, admissible_log: float) -> ThresholdResult:
-    """The closed-form threshold of both regimes, which differ only in the
-    response ``scale`` and in the constant inside the admissibility log."""
+def _admissible(p: ThresholdParams) -> bool:
+    """The regime's large-sample condition n >= 16 D^2 log^2(c/gamma), c = 6 or 4."""
+    c = 6.0 if p.r >= 0.5 else 4.0
+    return p.n >= 16.0 * p.D**2 * math.log(c / p.gamma) ** 2
+
+
+def _literal(p: ThresholdParams, scale: float) -> ThresholdResult:
+    """The closed-form threshold of both regimes: only the response ``scale`` differs."""
     bracket = (4.0 * p.D / math.sqrt(p.n)) * math.log(6.0 / p.gamma)
     exponent = (2.0 * p.r + 1.0) / (2.0 * p.r + p.s)
     omega = p.tau_prime * scale * math.sqrt(p.kappa) * bracket**exponent
-    admissible = p.n >= 16.0 * p.D**2 * math.log(admissible_log / p.gamma) ** 2
-    return ThresholdResult(omega=omega, admissible=admissible)
+    return ThresholdResult(omega=omega, admissible=_admissible(p))
 
 
 def threshold_inner(p: ThresholdParams) -> ThresholdResult:
@@ -112,7 +116,7 @@ def threshold_inner(p: ThresholdParams) -> ThresholdResult:
         )
     if not p.r >= 0.5:
         raise InvalidInput(f"inner regime requires r >= 1/2, got r={p.r}")
-    return _literal(p, p.M, 6.0)
+    return _literal(p, p.M)
 
 
 def threshold_outer(p: ThresholdParams) -> ThresholdResult:
@@ -133,7 +137,7 @@ def threshold_outer(p: ThresholdParams) -> ThresholdResult:
         )
     if p.rho is None:
         raise InvalidInput("outer regime requires rho")
-    return _literal(p, max(p.rho, p.M), 4.0)
+    return _literal(p, max(p.rho, p.M))
 
 
 #: Fraction of the noise floor the calibrated threshold sits at when
@@ -202,8 +206,7 @@ def threshold_calibrated(
         * floor_n
         * (n_ref / p.n) ** excess
     )
-    admissible = p.n >= 16.0 * p.D**2 * math.log(6.0 / p.gamma) ** 2
-    return ThresholdResult(omega=omega, admissible=admissible)
+    return ThresholdResult(omega=omega, admissible=_admissible(p))
 
 
 def discrepancy_stop(trace: CgTrace, omega: float) -> int:

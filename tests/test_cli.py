@@ -357,17 +357,15 @@ SHIPPED_OUTER = str(Path(__file__).resolve().parents[1] / "configs" / "outer_r02
     "subcommand, config, message",
     [
         ("holdout", None, "outer regime"),
-        ("rates", {"rho": 10.0}, "sup-norm"),
+        ("rates", with_model(rho=10.0), "sup-norm"),
+        ("rates", inner_dict(regime="outer"), "'regime'"),
+        ("rates", inner_dict(theta_list=[0.1, 0.1000001]), "distinct"),
+        ("rates", inner_dict(theta_list=[0.0, 0.5, 0.0]), "distinct"),
     ],
 )
 def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, config, message):
-    # The holdout override and the model build are checked before --out exists.
-    if config is None:
-        cfg_path = SHIPPED_OUTER
-    else:
-        d = inner_dict()
-        d["model"].update(config)
-        cfg_path = write_config(tmp_path, d)
+    # The holdout override, the config and the model build are checked before --out exists.
+    cfg_path = SHIPPED_OUTER if config is None else write_config(tmp_path, config)
     out = tmp_path / "out"
     rc = cli.main([subcommand, "--config", cfg_path, "--out", str(out)])
     assert rc == 1

@@ -68,7 +68,6 @@ def inner_config(**overrides):
         rho=1.0,
         J=60,
         noise=UniformBounded(1.0),
-        regime="inner",
         n_grid=(32, 64, 128),
         replicates=3,
         gamma=0.05,
@@ -87,7 +86,6 @@ def outer_config(**overrides):
         rho=1.0,
         J=60,
         noise=UniformBounded(3.0),
-        regime="outer",
         n_grid=(16, 32),
         replicates=2,
         gamma=0.05,
@@ -136,18 +134,62 @@ class TestExperimentConfig:
             inner_config(n_grid=(64,))
 
     def test_regime_consistency(self):
-        with pytest.raises(InvalidInput, match="r >= 1/2"):
-            inner_config(r=0.25)
-        with pytest.raises(InvalidInput, match="r < 1/2"):
-            outer_config(r=1.0)
+        # r decides the regime; the JSON key is optional and, when given, must agree.
+        for cfg, regime in ((inner_config(), "inner"), (outer_config(), "outer")):
+            d = cfg.to_dict()
+            assert cfg.regime == d["regime"] == regime
+            del d["regime"]
+            again = ExperimentConfig.from_dict(d)
+            assert again == cfg and config_hash(again) == config_hash(cfg)
+        assert inner_config(r=0.5).regime == "inner"
+        d = inner_config().to_dict()
+        d["regime"] = "outer"
+        with pytest.raises(InvalidInput, match="'regime'"):
+            ExperimentConfig.from_dict(d)
+        # Named before the outer-regime checks, which this theta would fail.
+        d = outer_config().to_dict()
+        d.update(regime="inner", theta_list=[0.5])
+        with pytest.raises(InvalidInput, match="'regime'"):
+            ExperimentConfig.from_dict(d)
+        with pytest.raises(TypeError, match="regime"):
+            inner_config(regime="inner")
         with pytest.raises(InvalidInput, match="r \\+ s"):
             outer_config(r=0.2, s=0.2)
         with pytest.raises(InvalidInput, match="theta < r"):
             outer_config(theta_list=(0.25,))
 
     def test_tau_prime_must_be_finite(self):
-        with pytest.raises(InvalidInput, match="tau_prime must be positive and finite"):
+        with pytest.raises(InvalidInput, match="'tau_prime' is invalid"):
             inner_config(tau_prime=math.inf)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(n_grid=[32.9, 64]), "n_grid"),
+            (dict(replicates=True), "replicates"),
+            (dict(replicates=2.5), "replicates"),
+            (dict(master_seed="7"), "master_seed"),
+            (dict(gamma="0.05"), "gamma"),
+            (dict(s="0.5"), "model.s"),
+            (dict(theta_list=["0.0"]), "theta_list"),
+            (dict(holdout_fraction="0.2"), "stopping.fraction"),
+            (dict(noise={"kind": "uniform_bounded", "M": 1.0}), "model.noise"),
+        ],
+        ids=[
+            "fractional_n_grid", "bool_replicates", "fractional_replicates",
+            "string_master_seed", "string_gamma", "string_s", "string_theta",
+            "string_holdout_fraction", "dict_noise",
+        ],
+    )
+    def test_constructor_reads_fields_as_from_dict_does(self, overrides, field):
+        with pytest.raises(InvalidInput, match=f"config field {field!r} is invalid"):
+            inner_config(**overrides)
+
+    @pytest.mark.parametrize("thetas", [(0.1, 0.1000001), (0.0, 0.5, 0.0)])
+    def test_theta_list_entries_must_name_distinct_plot_files(self, thetas):
+        # write_plot_tsv names its files plot_theta_{t:g}.tsv.
+        with pytest.raises(InvalidInput, match="distinct"):
+            inner_config(theta_list=thetas)
 
     def test_outer_holdout_rejected(self):
         with pytest.raises(InvalidInput, match="holdout"):

@@ -181,6 +181,17 @@ class TestThresholdCalibrated:
         o2 = threshold_calibrated(p2, sigma=1.0, trace_k=1.0, n_ref=64.0).omega
         assert o2 == pytest.approx(2.0 * o1, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [320, 360])
+    def test_admissibility_is_the_regimes_own(self, n):
+        # 16 log^2(4/0.05) ~ 307 < n < 16 log^2(6/0.05) ~ 367: admissible only outer.
+        for params, literal, admissible in (
+            (outer_params, threshold_outer, True),
+            (inner_params, threshold_inner, False),
+        ):
+            p = params(n=n)
+            got = threshold_calibrated(p, sigma=1.0, trace_k=1.0, n_ref=100.0)
+            assert got.admissible is literal(p).admissible is admissible
+
     def test_rejects_bad_scale_inputs(self):
         p = inner_params()
         with pytest.raises(InvalidInput):
