@@ -114,7 +114,8 @@ class ExperimentConfig:
         for t in thetas:
             if not 0.0 <= t <= 0.5:
                 raise InvalidInput(f"theta_list entries must lie in [0, 1/2], got {t}")
-        if len({f"{t:g}" for t in thetas}) < len(thetas):  # each names a plot file
+        # Each names a plot file; + 0.0 reads -0.0 as 0.0, as the file name should.
+        if len({f"{t + 0.0:g}" for t in thetas}) < len(thetas):
             raise InvalidInput(f"theta_list entries must be distinct to 6 digits: {thetas}")
         outer = self.regime == "outer"
         if outer:
@@ -158,12 +159,23 @@ class ExperimentConfig:
         return _regime(self.r)
 
     def model(self) -> MercerModel:
-        return make_model(s=self.s, r=self.r, rho=self.rho, truncation=self.J,
-                          noise=self.noise, u_profile=self.u_profile)
+        return make_model(
+            s=self.s,
+            r=self.r,
+            rho=self.rho,
+            truncation=self.J,
+            noise=self.noise,
+            u_profile=self.u_profile,
+        )
 
     def to_dict(self) -> dict:
-        model: dict = {"s": self.s, "r": self.r, "rho": self.rho, "J": self.J,
-                       "noise": noise_to_dict(self.noise)}
+        model: dict = {
+            "s": self.s,
+            "r": self.r,
+            "rho": self.rho,
+            "J": self.J,
+            "noise": noise_to_dict(self.noise),
+        }
         if self.u_profile != "inverse_index":
             model["u_profile"] = self.u_profile
         stopping: object = "discrepancy"
@@ -205,9 +217,11 @@ class ExperimentConfig:
         holdout_fraction = None
         if isinstance(stopping, dict):
             if stopping.get("kind") != "holdout":
-                raise InvalidInput("config field 'stopping' object must have kind='holdout'")
+                raise InvalidInput(
+                    "config field 'stopping' object must have kind='holdout'"
+                )
             _check_keys(stopping, "stopping", {"kind"}, {"fraction"})
-            if "fraction" not in stopping:
+            if stopping.get("fraction") is None:  # null would read as discrepancy
                 raise InvalidInput("stopping field 'fraction' is required for holdout")
             holdout_fraction = stopping["fraction"]
         elif stopping != "discrepancy":
@@ -216,11 +230,18 @@ class ExperimentConfig:
                 f"got {stopping!r}"
             )
         return ExperimentConfig(
-            s=model["s"], r=model["r"], rho=model["rho"], J=model["J"],
+            s=model["s"],
+            r=model["r"],
+            rho=model["rho"],
+            J=model["J"],
             noise=_field("model.noise", noise_from_dict, model["noise"]),
-            n_grid=d["n_grid"], replicates=d["replicates"], gamma=d["gamma"],
-            tau_prime=d["tau_prime"], theta_list=d["theta_list"],
-            master_seed=d["master_seed"], holdout_fraction=holdout_fraction,
+            n_grid=d["n_grid"],
+            replicates=d["replicates"],
+            gamma=d["gamma"],
+            tau_prime=d["tau_prime"],
+            theta_list=d["theta_list"],
+            master_seed=d["master_seed"],
+            holdout_fraction=holdout_fraction,
             threshold=d.get("threshold", "calibrated"),
             u_profile=model.get("u_profile", "inverse_index"),
         )
@@ -263,9 +284,13 @@ def _integer(value) -> int:
 
 #: JSON path and reader of each number field, in field order.
 _READERS = dict(
-    s=("model.s", _finite), r=("model.r", _finite), rho=("model.rho", _finite),
-    J=("model.J", _integer), n_grid=("n_grid", lambda v: tuple(map(_integer, v))),
-    replicates=("replicates", _integer), gamma=("gamma", _finite),
+    s=("model.s", _finite),
+    r=("model.r", _finite),
+    rho=("model.rho", _finite),
+    J=("model.J", _integer),
+    n_grid=("n_grid", lambda v: tuple(map(_integer, v))),
+    replicates=("replicates", _integer),
+    gamma=("gamma", _finite),
     tau_prime=("tau_prime", _finite),
     theta_list=("theta_list", lambda v: tuple(map(_finite, v))),
     master_seed=("master_seed", _integer),

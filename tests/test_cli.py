@@ -361,6 +361,8 @@ SHIPPED_OUTER = str(Path(__file__).resolve().parents[1] / "configs" / "outer_r02
         ("rates", inner_dict(regime="outer"), "'regime'"),
         ("rates", inner_dict(theta_list=[0.1, 0.1000001]), "distinct"),
         ("rates", inner_dict(theta_list=[0.0, 0.5, 0.0]), "distinct"),
+        ("rates", inner_dict(stopping={"kind": "holdout", "fraction": None}), "'fraction'"),
+        ("holdout", inner_dict(stopping={"kind": "holdout", "fraction": None}), "'fraction'"),
     ],
 )
 def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, config, message):

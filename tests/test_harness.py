@@ -185,7 +185,7 @@ class TestExperimentConfig:
         with pytest.raises(InvalidInput, match=f"config field {field!r} is invalid"):
             inner_config(**overrides)
 
-    @pytest.mark.parametrize("thetas", [(0.1, 0.1000001), (0.0, 0.5, 0.0)])
+    @pytest.mark.parametrize("thetas", [(0.1, 0.1000001), (0.0, 0.5, 0.0), (0.0, -0.0)])
     def test_theta_list_entries_must_name_distinct_plot_files(self, thetas):
         # write_plot_tsv names its files plot_theta_{t:g}.tsv.
         with pytest.raises(InvalidInput, match="distinct"):
