@@ -2,9 +2,10 @@
 """Fit one synthetic sample end to end and show where the iteration stops.
 
 Builds the canonical smooth scenario, draws 256 design points, runs the
-weighted-residual solver on the 401 x 401 Gram system of the kernel (never
-the 256 x 256 matrix), and stops at the calibrated discrepancy threshold. Everything is seeded, so the printed numbers are
-reproducible.
+weighted-residual solver on the 401 x 401 Gram system of the kernel, built
+from cosine moments of the design (never the 256 x 256 matrix, nor the
+256 x 401 basis), and stops at the calibrated discrepancy threshold.
+Everything is seeded, so the printed numbers are reproducible.
 """
 
 import numpy as np
@@ -27,8 +28,7 @@ SEED = 20260801
 model = make_model(s=0.5, r=1.0, rho=1.0, truncation=400, noise=UniformBounded(1.0))
 sample = draw_sample(model, N, seed=SEED)
 
-basis = model.kernel.basis(sample.X_labeled)
-system = GramSystem.from_basis(basis, model.eigenvalues, sample.Y)
+system = GramSystem.from_design(model.kernel, sample.X_labeled, sample.Y)
 trace = gram_fit(system)
 
 params = ThresholdParams(

@@ -462,13 +462,14 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
     """Draw replicate ``rep`` at sample size ``n``, run CG and stop it.
 
     ``cfg.holdout_fraction`` picks the rule: None for the discrepancy
-    principle, else hold-out on that share of the points. The eigenfunctions
-    at the design are evaluated once, into the Gram system G = B.T B,
-    b = B.T y (``GramSystem.from_basis``), and both rules run ``gram_fit`` on
-    it. Under the discrepancy rule the run ends inside the loop at the stop
-    index, so the trace holds ``m_hat + 1`` iterates. Under hold-out it runs
-    up to ``HOLDOUT_MAX_ITER`` steps, and ``holdout_select`` picks among the
-    validation predictions of the spectra sqrt(xi / n) * c_m. Raises
+    principle, else hold-out on that share of the points. The design enters
+    through its cosine moments, which give the Gram system G = B.T B,
+    b = B.T y (``GramSystem.from_design``) without the basis, and both rules
+    run ``gram_fit`` on it. Under the discrepancy rule the run ends inside
+    the loop at the stop index, so the trace holds ``m_hat + 1`` iterates.
+    Under hold-out it runs up to ``HOLDOUT_MAX_ITER`` steps, and
+    ``holdout_select`` picks among the validation predictions of the spectra
+    sqrt(xi / n) * c_m, summed by ``MercerKernel.series``. Raises
     InvalidInput when the hold-out split leaves no training data at this
     ``n``, and NumericalFailure from the solver.
     """
@@ -490,12 +491,12 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         x, x_val = x[: n - n_val], x[n - n_val :]
         y, y_val = y[: n - n_val], y[n - n_val :]
 
-    system = GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
+    system = GramSystem.from_design(model.kernel, x, y)
     w = np.sqrt(model.eigenvalues / x.size)
     if holdout:
         omega = None
         trace = gram_fit(system, max_iter=HOLDOUT_MAX_ITER)
-        predictions = (trace.alphas * w) @ model.kernel.basis(x_val).T
+        predictions = model.kernel.series(x_val, trace.alphas * w)
         m_hat = holdout_select(predictions, y_val, model.noise.M)
     else:
         omega = _threshold_for(cfg, model, n)

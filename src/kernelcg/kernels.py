@@ -6,12 +6,15 @@ series kernel on [0, 1] whose eigenvalues and eigenfunctions are known in
 closed form. All downstream spectral computations rely on the latter.
 
 Solvers see a kernel through the dense normalized ``KernelMatrix``; the
-finite-rank cosine kernel also has the (J+1) x (J+1) ``solvers.GramSystem``,
-built from its basis without an n x n matrix.
+finite-rank cosine kernel also has the (J+1) x (J+1) ``solvers.GramSystem``.
+That system, the target values and the hold-out predictions need the design
+only through sums of cos(l pi x_i), which ``_cosine_blocks`` supplies a block
+of points at a time, so a replicate never holds the n x (J+1) basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Union
@@ -42,6 +45,50 @@ class GaussianKernel:
         y = np.asarray(y, dtype=float).ravel()
         sq = (x[:, None] - y[None, :]) ** 2
         return np.exp(-sq / (2.0 * self.bandwidth**2))
+
+
+#: Design points per block of ``_cosine_blocks``. The size is fixed, so sums
+#: over blocks add up in one order whatever the BLAS thread count.
+COSINE_BLOCK_ROWS = 256
+
+#: ``MercerKernel.series`` sums over k first for up to this many coefficient
+#: rows; more rows share tiles of the cosines of SERIES_TILE_ROWS points.
+SERIES_FEW_ROWS = 8
+SERIES_TILE_ROWS = 32
+
+
+def _block_shape(top: int) -> tuple[int, int]:
+    """(height, width) of the split l = a * width + k, for l = 0..top."""
+    width = math.isqrt(top) + 1
+    return -(-(top + 1) // width), width
+
+
+def _cosine_blocks(points: np.ndarray, top: int, rows: int = COSINE_BLOCK_ROWS):
+    """Complex powers giving cos(l pi x), l = 0..top, a block of points at a time.
+
+    With l = a * width + k (``_block_shape``), cos(l pi x) is
+    Re(e^(i a width pi x) e^(i k pi x)). Yields ``(start, za, zk)`` for
+    ``x = points[start:start + rows]``, with za[a] = e^(i a width pi x) and
+    zk[k] = e^(-i k pi x), one column per point, each built by repeated
+    multiplication from one ``exp`` per point (its rounding error grows
+    linearly in a or k). Viewed as floats, ``za.view(float) @
+    zk.view(float).T`` holds sum_i cos((a * width + k) pi x_i) at [a, k].
+    Both live in buffers reused from block to block, which a caller may
+    scale in place but not keep.
+    """
+    height, width = _block_shape(top)
+    size = min(rows, points.size)
+    za_all = np.empty(height * size, dtype=complex)
+    zk_all = np.empty(width * size, dtype=complex)
+    for start in range(0, points.size, rows):
+        theta = np.pi * points[start : start + rows]
+        za = za_all[: height * theta.size].reshape(height, theta.size)
+        zk = zk_all[: width * theta.size].reshape(width, theta.size)
+        for z, step in ((za, np.exp((1j * width) * theta)), (zk, np.exp(-1j * theta))):
+            z[0] = 1.0
+            for i in range(1, len(z)):
+                np.multiply(z[i - 1], step, out=z[i])
+        yield start, za, zk
 
 
 @dataclass(frozen=True)
@@ -80,6 +127,48 @@ class MercerKernel:
         """Eigenvalue sequence aligned with the columns of ``basis``."""
         j = np.arange(1, self.truncation + 1, dtype=float)
         return np.concatenate(([1.0], j ** (-self.decay_exponent)))
+
+    def series(self, points, coeffs) -> np.ndarray:
+        """Values of sum_j coeffs[..., j] * phi_j at ``points``, without the basis.
+
+        ``coeffs`` is a vector aligned with ``eigenvalues`` or a 2-D array of
+        such rows; the result is ``coeffs @ basis(points).T`` to rounding.
+        Besides it the call holds O(rows * sqrt(truncation)) numbers per
+        point of a block for up to ``SERIES_FEW_ROWS`` rows, else a tile of
+        SERIES_TILE_ROWS * (truncation + 1).
+        """
+        x = np.asarray(points, dtype=float).ravel()
+        coeffs = np.asarray(coeffs, dtype=float)
+        modes = self.truncation + 1
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != modes:
+            raise InvalidInput(f"coeffs of shape {coeffs.shape} do not fit {modes} modes")
+        rows = coeffs.reshape(-1, modes)
+        height, width = _block_shape(self.truncation)
+        # table[m, a * width + k] multiplies cos((a * width + k) pi x) in row m.
+        table = np.zeros((len(rows), height * width))
+        table[:, :modes] = rows
+        table *= np.sqrt(2.0)
+        table[:, 0] = rows[:, 0]
+        few = len(rows) <= SERIES_FEW_ROWS
+        out = np.empty((x.size, len(rows)))  # so a block of points is one slice
+        for start, za, zk in _cosine_blocks(
+            x, self.truncation, COSINE_BLOCK_ROWS if few else SERIES_TILE_ROWS
+        ):
+            part = out[start : start + za.shape[1]]
+            if few:
+                # u[m, a] = sum_k table[m, a, k] zk[k], then the sum against za.
+                u = (table.reshape(-1, width) @ zk.real).reshape(len(rows), height, -1)
+                v = (table.reshape(-1, width) @ zk.imag).reshape(u.shape)
+                u *= za.real
+                v *= za.imag
+                u += v
+                part[...] = u.sum(axis=1).T
+            else:
+                # tile[a, k] = Re(za[a] conj(zk[k])) = cos((a * width + k) pi x)
+                tile = za.real[:, None] * zk.real
+                tile += za.imag[:, None] * zk.imag
+                np.matmul(tile.reshape(table.shape[1], -1).T, table.T, out=part)
+        return out.T.reshape(coeffs.shape[:-1] + (x.size,))
 
     def basis(self, points) -> np.ndarray:
         """Eigenfunction matrix with shape (len(points), truncation + 1)."""

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import KernelMatrix, KernelSpec
+from .kernels import KernelMatrix, KernelSpec, MercerKernel, _cosine_blocks
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -130,25 +131,48 @@ class GramSystem:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_basis(cls, basis, eigenvalues, Y) -> "GramSystem":
-        """System of the normalized Mercer kernel matrix from its eigenfunction matrix.
+    def from_design(cls, kernel: MercerKernel, points, Y) -> "GramSystem":
+        """System of the cosine kernel's normalized matrix at ``points``, without its basis.
 
-        With Phi = ``basis`` at n points and w = sqrt(xi / n), the factor is
-        B = Phi * w, so G = (Phi.T Phi) * w w.T and b = w * (Phi.T Y); the
-        n x modes array B is never formed.
+        With Phi the eigenfunction matrix at the n points and w = sqrt(xi / n),
+        the factor is B = Phi * w, so G = (Phi.T Phi) * w w.T and
+        b = w * (Phi.T Y). As 2 cos(j pi x) cos(k pi x) =
+        cos((j - k) pi x) + cos((j + k) pi x), Phi.T Phi is a Toeplitz plus a
+        Hankel matrix in S_l = sum_i cos(l pi x_i), l = 0..2J, with sqrt(2) S_k
+        on the constant mode's row and column, and Phi.T Y needs
+        P_j = sum_i y_i cos(j pi x_i). These moments and Y.Y are summed over
+        blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order: memory is
+        O(COSINE_BLOCK_ROWS * sqrt(J) + J^2), and the sums do not depend on
+        the BLAS thread count. An entry of G is accurate to rounding on the
+        scale sqrt(xi_j xi_k), its mean over uniform designs.
         """
-        phi = np.asarray(basis, dtype=float)
-        xi = np.asarray(eigenvalues, dtype=float).ravel()
+        x = np.asarray(points, dtype=float).ravel()
         y = np.asarray(Y, dtype=float).ravel()
-        if y.size < 1 or phi.shape != (y.size, xi.size):
-            raise InvalidInput(
-                f"basis shape {phi.shape} does not match {y.size} responses "
-                f"and {xi.size} eigenvalues"
-            )
-        w = np.sqrt(xi / y.size)
-        G = phi.T @ phi
+        if y.size < 1 or x.size != y.size:
+            raise InvalidInput(f"{x.size} points do not match {y.size} responses")
+        J = kernel.truncation
+        S = P = yy = 0.0
+        for start, za, zk in _cosine_blocks(x, 2 * J):
+            yc = y[start : start + za.shape[1]]
+            # P needs l <= J, which block rows a <= J // width hold.
+            za_p = za[: J // len(zk) + 1]
+            zk = zk.view(float).T
+            S = S + za.view(float) @ zk
+            za_p *= yc
+            P = P + za_p.view(float) @ zk
+            yy += float(yc @ yc)
+        S = S.ravel()[: 2 * J + 1]
+        P = P.ravel()[: J + 1]
+        toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
+        G = toeplitz + sliding_window_view(S, J + 1)
+        G[0] = np.sqrt(2.0) * S[: J + 1]
+        G[:, 0] = G[0]
+        G[0, 0] = S[0]
+        w = np.sqrt(kernel.eigenvalues() / y.size)
         G *= np.outer(w, w)
-        return cls(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
+        phi_y = np.sqrt(2.0) * P
+        phi_y[0] = P[0]
+        return cls(G=G, b=w * phi_y, yy=yy, n=y.size)
 
 
 def _check_mode(mode: str) -> None:

@@ -248,8 +248,9 @@ def holdout_select(predictions, val_labels, M_clip: float) -> int:
         )
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
-    clipped = np.clip(preds, -M_clip, M_clip)
-    losses = np.mean((clipped - val_y) ** 2, axis=1)
+    # Row by row, so temporaries are validation-sized; each loss is the same
+    # pairwise sum as a row of the 2-D mean.
+    losses = [np.mean((np.clip(row, -M_clip, M_clip) - val_y) ** 2) for row in preds]
     return int(np.argmin(losses))
 
 

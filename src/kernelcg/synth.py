@@ -296,13 +296,14 @@ def eval_target(model: MercerModel, x):
     """Evaluate the target function; scalar in, scalar out.
 
     Exact for the model itself: the target is a finite combination of the
-    basis, so the only tolerance is float rounding.
+    eigenfunctions, summed by ``MercerKernel.series``, so the only tolerance
+    is float rounding.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise InvalidInput(f"points must lie in [0, 1], got range "
                            f"[{arr.min():.6g}, {arr.max():.6g}]")
-    values = model.kernel.basis(arr) @ model.target_coeffs
+    values = model.kernel.series(arr, model.target_coeffs)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(values[0])
     return values

@@ -1,9 +1,11 @@
 """Property tests of the Gram-space solvers against the dense kernel matrix.
 
 Every replicate runs on the (J+1) x (J+1) ``GramSystem`` of the cosine
-kernel. Its solvers (``gram_fit``, ``ridge_path``) are checked against
-``cg_fit`` on the dense ``KernelMatrix``, against dense solves and against an
-explicit-basis minimizer; ``cg_fit`` itself is checked against
+kernel, built from cosine moments of the design (``GramSystem.from_design``).
+That build is checked entry by entry against ``from_basis``, the same system
+formed from the basis matrix. The solvers (``gram_fit``, ``ridge_path``) are
+checked against ``cg_fit`` on the dense ``KernelMatrix``, against dense solves
+and against an explicit-basis minimizer; ``cg_fit`` itself is checked against
 ``krylov_oracle``. Points are uniform draws, spectra those of the shipped
 configs.
 """
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from kernelcg import (
     GramSystem,
     InvalidInput,
+    MercerKernel,
     build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
@@ -34,6 +37,7 @@ from kernelcg import (
     ridge_path,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
+from kernelcg.kernels import COSINE_BLOCK_ROWS
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -56,7 +60,18 @@ def factor(x, model) -> np.ndarray:
 
 
 def gram_system(x, y, model) -> GramSystem:
-    return GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
+    return GramSystem.from_design(model.kernel, x, y)
+
+
+def from_basis(kernel: MercerKernel, x, y) -> GramSystem:
+    """The reference build: with Phi = ``kernel.basis(x)`` and w = sqrt(xi / n),
+    G = (Phi.T Phi) * w w.T and b = w * (Phi.T y)."""
+    phi = kernel.basis(x)
+    y = np.asarray(y, dtype=float)
+    w = np.sqrt(kernel.eigenvalues() / y.size)
+    G = phi.T @ phi
+    G *= np.outer(w, w)
+    return GramSystem(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
 
 
 def rel(a, b) -> float:
@@ -236,6 +251,55 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
         assert rel(c, direct) <= 1e-8, lam
 
 
+#: The J=40 kernel of the memory test below, and the shipped J=120 and J=400.
+KERNELS = {40: MercerKernel(2.0, 40), **{m.kernel.truncation: m.kernel for m in SHIPPED.values()}}
+
+designs = st.tuples(st.integers(1, 1200), st.integers(0, 2**32 - 1), st.integers(0, 6))
+
+
+def edge_design(n: int, seed: int, near: int):
+    """Uniform points, the first ones replaced by exact 0 and 1 and by ``near``
+    points within 1e-6 of each end; responses uniform on [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    ends = [0.0, 1.0, *(1e-6 * rng.random(near)), *(1.0 - 1e-6 * rng.random(near))]
+    x[: min(n, len(ends))] = ends[:n]
+    return x, rng.uniform(-1.0, 1.0, n)
+
+
+def assert_matches_basis(kernel: MercerKernel, x, y) -> None:
+    """from_design against from_basis, entry by entry. Each entry is measured
+    against sqrt(G_jj G_kk) (b_j against sqrt(G_jj Y.Y), its Cauchy-Schwarz
+    bound), with G_jj floored at xi_j, its mean over uniform designs: the
+    moments give G_jj as S_0 + S_2j, which cancels where sum_i cos^2(j pi x_i)
+    is far below n, as on designs of a few points (relative to G_jj alone the
+    gap reached 1e-8 at n = 2, J = 400). Largest gaps in 3000 draws of these
+    designs: G 1.3e-13 and b 1.1e-13, both at J = 400 and n < 10; 3.9e-14 and
+    2.4e-14 from n = 64 on. The tolerance is 1e-12."""
+    fast, ref = GramSystem.from_design(kernel, x, y), from_basis(kernel, x, y)
+    diag = np.maximum(np.diag(ref.G), kernel.eigenvalues())
+    assert np.all(np.abs(fast.G - ref.G) <= 1e-12 * np.sqrt(np.outer(diag, diag)))
+    assert np.all(np.abs(fast.b - ref.b) <= 1e-12 * np.sqrt(diag * ref.yy))
+    assert fast.yy == pytest.approx(ref.yy, rel=1e-13)
+    assert fast.n == ref.n
+    assert np.array_equal(fast.G, fast.G.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KERNELS)), designs)
+def test_gram_system_from_design_matches_the_basis_entry_by_entry(J, design):
+    assert_matches_basis(KERNELS[J], *edge_design(*design))
+
+
+# The moments are summed a block of COSINE_BLOCK_ROWS points at a time; a
+# point lost or counted twice at a block edge moves G by 1/n of its scale.
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_gram_system_from_design_at_block_edges(blocks, extra):
+    n = blocks * COSINE_BLOCK_ROWS + extra
+    assert_matches_basis(KERNELS[400], *edge_design(n, n, 3))
+
+
 def test_negative_weighted_residual_ends_the_run_as_a_breakdown():
     # On this draw the recursively updated r @ K r of the weighted mode turns
     # negative at m=60 (rounding floor); it used to be clipped and recorded
@@ -244,7 +308,9 @@ def test_negative_weighted_residual_ends_the_run_as_a_breakdown():
     rng = np.random.default_rng(32)
     n = int(rng.integers(200, 700))
     x = rng.random(n)
-    y = eval_target(model, x) + rng.uniform(-0.5, 0.5, n)
+    # The target through the basis, as eval_target summed it when this draw
+    # was found: its last bits decide where the run meets the floor.
+    y = model.kernel.basis(x) @ model.target_coeffs + rng.uniform(-0.5, 0.5, n)
     trace = cg_fit(build_kernel_matrix(x, model.kernel), y, max_iter=64)
     assert n == 639
     assert (trace.m_last, trace.breakdown_at) == (59, 60)
@@ -263,10 +329,9 @@ def test_gram_system_is_frozen_and_validated():
     assert rel(system.G, B.T @ B) <= 1e-14 and rel(system.b, B.T @ y) <= 1e-14
     with pytest.raises(ValueError):
         system.G[0, 0] = 1.0
-    phi = model.kernel.basis(x)
-    for args in ((phi, model.eigenvalues, np.ones(4)), (phi, model.eigenvalues[1:], y)):
+    for args in ((x, np.ones(4)), ([], [])):
         with pytest.raises(InvalidInput):
-            GramSystem.from_basis(*args)
+            GramSystem.from_design(model.kernel, *args)
     with pytest.raises(InvalidInput):
         GramSystem(G=np.eye(3), b=np.ones(2), yy=1.0, n=5)
     with pytest.raises(InvalidInput):
@@ -300,12 +365,12 @@ def test_replicate_never_forms_an_n_by_n_array(stopping):
         tracemalloc.stop()
     assert isinstance(fit.system, GramSystem)
     assert peak < n * n * 8 / 4, peak
-    # The basis of the drawn points is the one n x (J+1) array a replicate
-    # needs; the factor B = Phi * sqrt(xi / n) is never formed next to it.
-    # Measured: 1.32 (discrepancy) and 1.30 (hold-out) times its bytes;
-    # forming B next to Phi measured 2.98 and 2.32.
+    # Nor an n x (J+1) one: the design enters through blocks of cosine powers,
+    # so the peak stays well below the bytes of the basis. Measured: 0.32
+    # (discrepancy) and 0.41 (hold-out, of which 0.16 are the predictions)
+    # times those bytes; evaluating the basis once measured 1.32 and 1.30.
     basis_bytes = n * model.eigenvalues.size * 8
-    assert peak < 1.6 * basis_bytes, peak / basis_bytes
+    assert peak < 0.5 * basis_bytes, peak / basis_bytes
 
 
 def test_compare_allocates_no_more_than_its_weighted_fit():

@@ -419,9 +419,9 @@ class TestFitReplicate:
                 stops.append(fit.m_hat)
         assert max(stops) > 0
 
-    def test_holdout_evaluates_the_basis_once_per_point(self, monkeypatch):
-        """Hold-out predicts the validation points through the iterate
-        spectra: no cross-kernel matrix, and one basis row per point."""
+    def test_replicate_calls_neither_basis_nor_gram(self, monkeypatch):
+        """The target values, the Gram system and the hold-out predictions
+        all come from cosine moments: no basis, no cross-kernel matrix."""
         cfg = inner_config(holdout_fraction=0.25)
         model = cfg.model()
         sizes = []
@@ -437,8 +437,7 @@ class TestFitReplicate:
         monkeypatch.setattr(MercerKernel, "basis", counted)
         monkeypatch.setattr(MercerKernel, "gram", no_gram)
         fit = fit_replicate(cfg, model, 64, 0)
-        # the draw evaluates the target at all 64 points, then 48 train, 16 validate
-        assert sizes == [64, 48, 16]
+        assert sizes == []
         assert fit.points.size == 48
 
     @pytest.mark.parametrize(
@@ -528,7 +527,7 @@ class TestCompareSolvers:
         direct = np.linalg.solve(K.entries + 1e-10 * np.eye(K.n), y)
         ridge_sq = error_norm(direct, x, model, 0.0).error_value ** 2
         assert ridge_sq <= 4.0 * cg_sq + 1e-12
-        system = GramSystem.from_basis(model.kernel.basis(x), model.eigenvalues, y)
+        system = GramSystem.from_design(model.kernel, x, y)
         (c,) = ridge_path(system, [1e-10])
         path_sq = spectral_error(np.sqrt(model.eigenvalues / x.size) * c, model, 0.0) ** 2
         assert path_sq <= 4.0 * cg_sq + 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcg import (
     InvalidInput,
@@ -302,6 +304,27 @@ class TestHoldoutSelect:
         # unclipped, 100 >> 1; clipped to 1 it is exact
         preds = np.array([[0.0], [100.0]])
         assert holdout_select(preds, [1.0], M_clip=1.0) == 1
+
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 600),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_choice_is_the_argmin_of_the_two_dimensional_losses(self, rows, n, fortran, seed):
+        # The rule works row by row; its losses are those of the whole-array
+        # formula bit for bit, on C- and Fortran-ordered predictions alike
+        # (MercerKernel.series returns the latter).
+        rng = np.random.default_rng(seed)
+        preds = rng.standard_normal((rows, n)) * rng.uniform(0.1, 3.0)
+        # Ties: a repeated row must lose to its first copy.
+        preds[rows // 2] = preds[0]
+        val_y = rng.standard_normal(n)
+        reference = np.mean((np.clip(preds, -1.0, 1.0) - val_y) ** 2, axis=1)
+        if fortran:
+            preds = np.asfortranarray(preds)
+        assert holdout_select(preds, val_y, M_clip=1.0) == int(np.argmin(reference))
 
     def test_rejects_empty_validation(self):
         with pytest.raises(InvalidInput, match="non-empty"):
