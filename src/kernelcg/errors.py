@@ -7,10 +7,6 @@ class InvalidInput(ValueError):
     """An argument violates a documented precondition; the message names it."""
 
 
-class Unsupported(TypeError):
-    """The requested computation is not defined for this kernel or mode."""
-
-
 class NumericalFailure(ArithmeticError):
     """A non-finite value appeared mid-iteration.
 

@@ -1,4 +1,4 @@
-"""Exact spectral error norms, a Monte-Carlo fallback, and effective dimension.
+"""Exact spectral error norms and effective dimension.
 
 Because synthetic targets are finite combinations of the kernel's own
 eigenfunctions, the distance between an estimator and the target reduces to
@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, Unsupported
-from .kernels import GaussianKernel, KernelSpec
-from .solvers import predict
-from .synth import MercerModel, eval_target
-
-#: Default number of uniform draws for the Monte-Carlo error path.
-MC_SAMPLES_DEFAULT = 100_000
+from .errors import InvalidInput
+from .synth import MercerModel
 
 #: Resolution floor for squared spectral distances: the solver's iterate
 #: floor (about 1e-12 relative) squared. Measured errors at or below zero
@@ -41,19 +36,10 @@ class ErrorReport:
         hypothesis-space distance; values in between interpolate.
     error_value : float
         The distance itself (not squared).
-    method : str
-        "spectral" (exact coefficient sum) or "monte_carlo".
-    mc_samples : int, optional
-        Draw count behind a Monte-Carlo estimate.
-    mc_std_err : float, optional
-        Standard error of the squared-distance estimate.
     """
 
     theta: float
     error_value: float
-    method: str
-    mc_samples: int | None = None
-    mc_std_err: float | None = None
 
 
 @dataclass(frozen=True)
@@ -80,17 +66,9 @@ def estimator_spectrum(alpha, train_points, model: MercerModel) -> np.ndarray:
         raise InvalidInput(
             f"dimension mismatch: alpha has {alpha.size}, train has {x.size}"
         )
+    if x.size == 0:
+        raise InvalidInput("train_points must be non-empty")
     return model.eigenvalues * (model.kernel.basis(x).T @ alpha) / x.size
-
-
-def _check_theta(model: MercerModel, theta: float) -> None:
-    if not 0.0 <= theta <= 0.5:
-        raise InvalidInput(f"theta must lie in [0, 1/2], got {theta}")
-    if model.r < 0.5 and theta >= model.r:
-        raise InvalidInput(
-            f"theta must stay below the smoothness exponent r={model.r} "
-            f"when the target lies outside the hypothesis space, got {theta}"
-        )
 
 
 def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
@@ -103,7 +81,13 @@ def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
     is correctly rounded (``math.fsum``), and exact-zero gaps are skipped
     before weighting.
     """
-    _check_theta(model, theta)
+    if not 0.0 <= theta <= 0.5:
+        raise InvalidInput(f"theta must lie in [0, 1/2], got {theta}")
+    if model.r < 0.5 and theta >= model.r:
+        raise InvalidInput(
+            f"theta must stay below the smoothness exponent r={model.r} "
+            f"when the target lies outside the hypothesis space, got {theta}"
+        )
     spectrum = np.asarray(spectrum, dtype=float)
     if spectrum.shape != model.eigenvalues.shape:
         raise InvalidInput(
@@ -116,76 +100,14 @@ def spectral_error(spectrum, model: MercerModel, theta: float) -> float:
     return math.sqrt(max(math.fsum(terms.tolist()), 0.0))
 
 
-def error_norm(
-    alpha,
-    train_points,
-    model: MercerModel,
-    theta: float,
-    kernel: KernelSpec | None = None,
-    method: str = "auto",
-    mc_samples: int = MC_SAMPLES_DEFAULT,
-    mc_seed: int = 20_250_101,
-) -> ErrorReport:
-    """Distance between the fitted expansion and the model target.
+def error_norm(alpha, train_points, model: MercerModel, theta: float) -> ErrorReport:
+    """Theta-norm distance between the fitted expansion and the model target.
 
-    Parameters
-    ----------
-    alpha : array-like
-        Expansion coefficients over the training points.
-    train_points : array-like
-        Points the expansion is anchored at.
-    model : MercerModel
-        Supplies the target and the spectral weights.
-    theta : float
-        Norm index; see ``ErrorReport``.
-    kernel : KernelSpec, optional
-        Kernel of the fitted expansion when it is not the model's own
-        (a Gaussian fit forces the Monte-Carlo route).
-    method : {"auto", "spectral", "monte_carlo"}
-        "auto" picks spectral whenever the expansion kernel admits it.
-    mc_samples, mc_seed : int
-        Monte-Carlo draw count and seed (counter-based generator).
+    ``alpha`` holds the expansion coefficients over ``train_points`` in the
+    model's own kernel; ``theta`` is the norm index of ``ErrorReport``.
     """
-    _check_theta(model, theta)
-    if method not in ("auto", "spectral", "monte_carlo"):
-        raise InvalidInput(f"unknown method {method!r}")
-    gaussian_fit = isinstance(kernel, GaussianKernel)
-    if method == "auto":
-        method = "monte_carlo" if gaussian_fit else "spectral"
-
-    if method == "spectral":
-        if gaussian_fit:
-            raise Unsupported(
-                "no closed-form spectrum for a translation-invariant kernel; "
-                "use the Monte-Carlo error path"
-            )
-        c_hat = estimator_spectrum(alpha, train_points, model)
-        return ErrorReport(
-            theta=float(theta),
-            error_value=spectral_error(c_hat, model, theta),
-            method="spectral",
-        )
-
-    if theta != 0.0:
-        raise Unsupported(
-            "the Monte-Carlo route only measures the theta=0 distance"
-        )
-    expansion_kernel = kernel if kernel is not None else model.kernel
-    rng = np.random.Generator(np.random.Philox(mc_seed))
-    x_mc = rng.random(int(mc_samples))
-    diff = predict(alpha, train_points, expansion_kernel, x_mc) - eval_target(
-        model, x_mc
-    )
-    sq_samples = diff**2
-    mean_sq = float(np.mean(sq_samples))
-    std_err = float(np.std(sq_samples, ddof=1) / math.sqrt(sq_samples.size))
-    return ErrorReport(
-        theta=0.0,
-        error_value=math.sqrt(max(mean_sq, 0.0)),
-        method="monte_carlo",
-        mc_samples=int(mc_samples),
-        mc_std_err=std_err,
-    )
+    spectrum = estimator_spectrum(alpha, train_points, model)
+    return ErrorReport(float(theta), spectral_error(spectrum, model, theta))
 
 
 def effective_dimension(

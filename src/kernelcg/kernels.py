@@ -1,12 +1,11 @@
-"""Kernel specifications, normalized kernel operators, and weighted inner products.
+"""The cosine series kernel, its normalized kernel matrix, and weighted inner products.
 
-Two kernel families are provided: a Gaussian kernel on the line, used for
-smoke tests where no spectral structure is needed, and a truncated cosine
-series kernel on [0, 1] whose eigenvalues and eigenfunctions are known in
-closed form. All downstream spectral computations rely on the latter.
+``MercerKernel`` is a truncated cosine series kernel on [0, 1] whose
+eigenvalues and eigenfunctions are known in closed form; every spectral
+computation downstream relies on them.
 
-Solvers see a kernel through the dense normalized ``KernelMatrix``; the
-finite-rank cosine kernel also has the (J+1) x (J+1) ``solvers.GramSystem``.
+Solvers see the kernel through the dense normalized ``KernelMatrix``, the
+reference route, or through the (J+1) x (J+1) ``solvers.GramSystem``.
 That system, the target values and the hold-out predictions need the design
 only through sums of cos(l pi x_i), which ``_cosine_blocks`` supplies a block
 of points at a time, so a replicate never holds the n x (J+1) basis.
@@ -17,34 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
 from .errors import InvalidInput
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """k(x, y) = exp(-(x - y)^2 / (2 * bandwidth^2)); k(x, x) = 1."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InvalidInput(f"bandwidth must be positive, got {self.bandwidth}")
-
-    @property
-    def kappa_bound(self) -> float:
-        """Upper bound on k(x, x); exactly 1 for this kernel."""
-        return 1.0
-
-    def gram(self, x, y) -> np.ndarray:
-        """Unnormalized cross-kernel matrix k(x_i, y_j)."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        sq = (x[:, None] - y[None, :]) ** 2
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
 
 
 #: Design points per block of ``_cosine_blocks``. The size is fixed, so sums
@@ -202,9 +177,6 @@ class MercerKernel:
         return (bx * self.eigenvalues()) @ by.T
 
 
-KernelSpec = Union[GaussianKernel, MercerKernel]
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """Normalized kernel matrix with entries k(X_i, X_j) / n, stored densely.
@@ -247,7 +219,7 @@ class KernelMatrix:
         return np.sqrt(np.clip(lam, 0.0, None))[:, None] * q.T
 
 
-def build_kernel_matrix(points, kernel: KernelSpec) -> KernelMatrix:
+def build_kernel_matrix(points, kernel: MercerKernel) -> KernelMatrix:
     """Construct the normalized kernel matrix with entries k(X_i, X_j) / n.
 
     The raw Gram matrix is symmetrized as (G + G.T) / 2 before scaling, so

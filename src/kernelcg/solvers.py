@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import KernelMatrix, KernelSpec, MercerKernel, _cosine_blocks
+from .kernels import KernelMatrix, MercerKernel, _cosine_blocks
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -442,16 +442,3 @@ def ridge_path(system: GramSystem, lams) -> np.ndarray:
     np.maximum(mu, 0.0, out=mu)
     vtb = v.T @ system.b
     return np.array([v @ (vtb / (mu + lam)) for lam in lams])
-
-
-def predict(alpha, train_points, kernel: KernelSpec, query_points) -> np.ndarray:
-    """Evaluate the kernel expansion (1/n) * sum_i alpha_i k(X_i, x) pointwise."""
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    x = np.asarray(train_points, dtype=float).ravel()
-    if alpha.size != x.size:
-        raise InvalidInput(
-            f"dimension mismatch: alpha has {alpha.size}, train has {x.size}"
-        )
-    q = np.atleast_1d(np.asarray(query_points, dtype=float)).ravel()
-    cross = kernel.gram(q, x)
-    return (cross @ alpha) / x.size

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import (
-    GaussianKernel,
     InvalidInput,
     KernelMatrix,
     MercerKernel,
@@ -24,12 +23,6 @@ def series_gram_entry(kernel: MercerKernel, x: float, y: float) -> float:
 
 
 class TestKernelSpecs:
-    def test_gaussian_rejects_bad_bandwidth(self):
-        with pytest.raises(InvalidInput):
-            GaussianKernel(bandwidth=0.0)
-        with pytest.raises(InvalidInput):
-            GaussianKernel(bandwidth=-1.0)
-
     def test_mercer_rejects_bad_params(self):
         with pytest.raises(InvalidInput):
             MercerKernel(decay_exponent=1.0, truncation=10)
@@ -48,7 +41,7 @@ class TestKernelSpecs:
         rng = np.random.default_rng(7)
         x = rng.random(50)
         for kernel in (
-            GaussianKernel(bandwidth=0.3),
+            MercerKernel(decay_exponent=1.5, truncation=100),
             MercerKernel(decay_exponent=2.0, truncation=100),
             MercerKernel(decay_exponent=4.0, truncation=100),
         ):
@@ -133,10 +126,6 @@ class TestBuildKernelMatrix:
         expected = series_gram_entry(kernel, 0.3, 0.3)
         assert K.entries[0, 0] == pytest.approx(expected, rel=1e-12)
 
-    def test_gaussian_diagonal_is_one_over_n(self):
-        K = build_kernel_matrix(np.linspace(0, 1, 5), GaussianKernel(bandwidth=0.2))
-        assert np.allclose(np.diag(K.entries), 1.0 / 5, rtol=0, atol=1e-15)
-
     def test_mercer_matrix_matches_series_oracle(self):
         kernel = MercerKernel(decay_exponent=2.0, truncation=200)
         pts = np.array([0.1, 0.5, 0.9])
@@ -150,7 +139,7 @@ class TestBuildKernelMatrix:
         rng = np.random.default_rng(0)
         pts = rng.random(40)
         for kernel in (
-            GaussianKernel(bandwidth=0.15),
+            MercerKernel(decay_exponent=1.5, truncation=40),
             MercerKernel(decay_exponent=2.0, truncation=300),
         ):
             K = build_kernel_matrix(pts, kernel)
@@ -172,11 +161,13 @@ class TestBuildKernelMatrix:
         assert np.array_equal(a.entries, b.entries)
 
     def test_empty_points_rejected(self):
+        kernel = MercerKernel(decay_exponent=2.0, truncation=20)
         with pytest.raises(InvalidInput):
-            build_kernel_matrix([], GaussianKernel(bandwidth=1.0))
+            build_kernel_matrix([], kernel)
 
     def test_entries_frozen(self):
-        K = build_kernel_matrix([0.1, 0.2], GaussianKernel(bandwidth=1.0))
+        kernel = MercerKernel(decay_exponent=2.0, truncation=20)
+        K = build_kernel_matrix([0.1, 0.2], kernel)
         with pytest.raises(ValueError):
             K.entries[0, 0] = 99.0
 

@@ -5,13 +5,10 @@ from kernelcg import (
     GramSystem,
     InvalidInput,
     KernelMatrix,
-    MercerKernel,
     NumericalFailure,
-    build_kernel_matrix,
     cg_fit,
     kn_inner,
     krylov_oracle,
-    predict,
     ridge_path,
 )
 
@@ -226,28 +223,3 @@ class TestRidge:
             assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(system.b)
             direct = np.linalg.solve(K.entries + lam * np.eye(10), y)
             assert np.linalg.norm(c - B.T @ direct) <= 1e-10 * np.linalg.norm(B.T @ direct)
-
-
-class TestPredict:
-    KERNEL = MercerKernel(decay_exponent=2.0, truncation=50)
-
-    def test_zero_alpha(self):
-        out = predict(np.zeros(3), [0.1, 0.5, 0.9], self.KERNEL, [0.2, 0.4])
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_single_point_expansion(self):
-        out = predict([2.0], [0.3], self.KERNEL, [0.7])
-        expected = 2.0 * self.KERNEL.gram([0.3], [0.7])[0, 0]
-        assert out[0] == pytest.approx(expected, rel=1e-14)
-
-    def test_matrix_vector_consistency_at_train(self):
-        rng = np.random.default_rng(5)
-        pts = rng.random(12)
-        alpha = rng.standard_normal(12)
-        K = build_kernel_matrix(pts, self.KERNEL)
-        out = predict(alpha, pts, self.KERNEL, pts)
-        assert out == pytest.approx(K.entries @ alpha, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            predict([1.0, 2.0], [0.1], self.KERNEL, [0.5])

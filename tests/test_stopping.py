@@ -285,13 +285,11 @@ class TestHoldoutSelect:
         rng = np.random.default_rng(9)
         val_x = rng.random(10)
         m_star = 4
-        from kernelcg import predict
-
-        val_y = predict(trace.alphas[m_star], x, self.KERNEL, val_x)
+        val_y = self.KERNEL.gram(val_x, x) @ trace.alphas[m_star] / x.size
         assert np.max(np.abs(val_y)) < 2.0  # clipping inactive
         got = holdout_select(self._predictions(trace, x, val_x), val_y, M_clip=2.0)
         assert got <= m_star
-        preds = predict(trace.alphas[got], x, self.KERNEL, val_x)
+        preds = self.KERNEL.gram(val_x, x) @ trace.alphas[got] / x.size
         assert np.mean((preds - val_y) ** 2) <= 1e-20
 
     def test_tie_breaks_to_smallest(self):
@@ -342,11 +340,10 @@ class TestHoldoutSelect:
         val_x = rng.random(15)
         val_y = np.sin(2 * np.pi * val_x)
         got = holdout_select(self._predictions(trace, x, val_x), val_y, M_clip=3.0)
-        from kernelcg import predict
-
+        cross = self.KERNEL.gram(val_x, x)
         losses = []
         for m in range(trace.m_last + 1):
-            p = np.clip(predict(trace.alphas[m], x, self.KERNEL, val_x), -3.0, 3.0)
+            p = np.clip(cross @ trace.alphas[m] / x.size, -3.0, 3.0)
             losses.append(np.mean((p - val_y) ** 2))
         # argmin of any strictly increasing transform agrees
         assert int(np.argmin(np.sqrt(losses))) == got
