@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 import subprocess
 import sys
@@ -79,6 +81,14 @@ class TestEstimatorSpectrum:
             with pytest.raises(InvalidInput):
                 estimator_spectrum(alpha, points, INNER)
 
+    def test_linear_in_alpha(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        x = rng.random(20)
+        a, b = rng.normal(0.0, 1.0, (2, 20))
+        combined = estimator_spectrum(2.0 * a - 3.0 * b, x, INNER)
+        parts = 2.0 * estimator_spectrum(a, x, INNER) - 3.0 * estimator_spectrum(b, x, INNER)
+        np.testing.assert_allclose(combined, parts, rtol=1e-12, atol=1e-15)
+
 
 class TestErrorNorm:
     def test_zero_estimator_recovers_target_norm(self):
@@ -103,6 +113,21 @@ class TestErrorNorm:
         xi3 = model.eigenvalues[3]
         expected = xi3 ** (model.r - 0.5) * model.kappa ** (-model.r)
         assert report.error_value == pytest.approx(expected, rel=1e-12)
+
+    def test_report_carries_theta_and_value_only(self):
+        x = np.linspace(0.1, 0.9, 3)
+        report = error_norm(np.ones(3), x, INNER, 0)
+        assert report == ErrorReport(0.0, report.error_value)
+        assert type(report.theta) is float
+        assert [f.name for f in dataclasses.fields(ErrorReport)] == ["theta", "error_value"]
+        assert list(inspect.signature(error_norm).parameters) == [
+            "alpha", "train_points", "model", "theta"
+        ]
+
+    def test_empty_design_rejected(self):
+        # Formerly 0/0 in the spectrum, reported as a nan error.
+        with pytest.raises(InvalidInput):
+            error_norm([], [], INNER, 0.0)
 
     def test_theta_range_checks(self):
         x = np.linspace(0.1, 0.9, 4)

@@ -29,6 +29,17 @@ class TestKernelSpecs:
         with pytest.raises(InvalidInput):
             MercerKernel(decay_exponent=2.0, truncation=0)
 
+    def test_mercer_rejects_nan_decay_and_fractional_truncation(self):
+        with pytest.raises(InvalidInput):
+            MercerKernel(decay_exponent=float("nan"), truncation=10)
+        with pytest.raises(InvalidInput):
+            MercerKernel(decay_exponent=2.0, truncation=2.5)
+
+    def test_integral_float_truncation_becomes_int(self):
+        kernel = MercerKernel(decay_exponent=2.0, truncation=10.0)
+        assert kernel.truncation == 10 and type(kernel.truncation) is int
+        assert kernel.eigenvalues().shape == (11,)
+
     def test_mercer_eigenvalues_strictly_decreasing(self):
         k = MercerKernel(decay_exponent=2.0, truncation=50)
         xi = k.eigenvalues()
@@ -170,6 +181,72 @@ class TestBuildKernelMatrix:
         K = build_kernel_matrix([0.1, 0.2], kernel)
         with pytest.raises(ValueError):
             K.entries[0, 0] = 99.0
+
+
+class TestGram:
+    """``gram(x, y)`` is the cross matrix k(x_i, y_j), and ``gram(x, X) @ alpha / n``
+    evaluates the fitted expansion (1/n) sum_i alpha_i k(X_i, .) at x."""
+
+    KERNEL = MercerKernel(decay_exponent=2.0, truncation=50)
+
+    def test_cross_matrix_matches_series_oracle(self):
+        x = np.array([0.0, 0.2, 0.65])
+        y = np.array([0.1, 0.5, 0.9, 1.0])
+        g = self.KERNEL.gram(x, y)
+        assert g.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                expected = series_gram_entry(self.KERNEL, x[i], y[j])
+                assert g[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_swapped_arguments_transpose(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.random(7), rng.random(5)
+        np.testing.assert_allclose(
+            self.KERNEL.gram(y, x), self.KERNEL.gram(x, y).T, rtol=1e-14, atol=1e-14
+        )
+
+    def test_zero_alpha_expansion_vanishes(self):
+        out = self.KERNEL.gram([0.2, 0.4], [0.1, 0.5, 0.9]) @ np.zeros(3) / 3
+        assert np.array_equal(out, np.zeros(2))
+
+    def test_expansion_at_train_points_is_kernel_matrix_product(self):
+        rng = np.random.default_rng(5)
+        pts = rng.random(12)
+        alpha = rng.standard_normal(12)
+        K = build_kernel_matrix(pts, self.KERNEL)
+        out = self.KERNEL.gram(pts, pts) @ alpha / pts.size
+        assert out == pytest.approx(K.entries @ alpha, abs=1e-12)
+
+    def test_diagonal_at_the_ends_is_kappa_bound(self):
+        # cos(j pi x)**2 = 1 at x = 0 and x = 1, where k(x, x) attains its sup.
+        K = build_kernel_matrix([0.0, 1.0], self.KERNEL)
+        np.testing.assert_allclose(np.diag(K.entries), self.KERNEL.kappa_bound / 2, rtol=1e-14)
+
+
+class TestMercerEigenpairs:
+    """On the midpoint grid (i + 1/2) / N the discrete cosine transform is
+    orthogonal, so the uniform-measure identities hold exactly for J < N."""
+
+    @staticmethod
+    def grid(size):
+        return (np.arange(size) + 0.5) / size
+
+    @pytest.mark.parametrize("truncation", [1, 17, 63])
+    def test_basis_orthonormal_on_midpoint_grid(self, truncation):
+        kernel = MercerKernel(decay_exponent=2.0, truncation=truncation)
+        phi = kernel.basis(self.grid(64))
+        np.testing.assert_allclose(phi.T @ phi / 64, np.eye(truncation + 1), atol=1e-13)
+
+    def test_kernel_integral_reproduces_eigenfunctions(self):
+        # (1/N) sum_i k(x, x_i) phi_j(x_i) = xi_j phi_j(x): the eigen-relation
+        # of the integral operator under the uniform measure.
+        kernel = MercerKernel(decay_exponent=1.5, truncation=30)
+        x_i = self.grid(48)
+        x = np.linspace(0.0, 1.0, 11)
+        lhs = kernel.gram(x, x_i) @ kernel.basis(x_i) / x_i.size
+        rhs = kernel.basis(x) * kernel.eigenvalues()
+        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 class TestKnInner:
