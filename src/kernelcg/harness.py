@@ -640,6 +640,9 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     equal the rate sweep's. The plain-residual run (``gram_fit`` in
     ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
     Gram system, and their errors come from the spectra sqrt(xi / n) * c.
+    On a design of fewer points than modes the ridge grid gets the factor
+    B = basis * sqrt(xi / n), at most modes^2 entries, and decomposes the
+    smaller n x n kernel matrix.
     The plain-residual run ends at the first iteration matching the weighted
     run's accuracy (or runs its whole budget and reports its best iteration
     when it never does); ridge reports its best penalty from a log-spaced
@@ -666,8 +669,13 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
         cgme_matched = errs[-1] <= cg_error
         cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
 
+        rows = None
+        if fit.points.size < scale.size:
+            B = model.kernel.basis(fit.points)
+            B *= scale
+            rows = (B, fit.y)
         ridge_lambda, ridge_error = min(
-            zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid))),
+            zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid, rows))),
             key=lambda t: t[1],
         )
         return [CompareRecord(

@@ -23,7 +23,9 @@ squared Euclidean one, Y.Y - 2 b.c + c.G c, differs by a constant from the
 squared power -1 norm of b - G c (G inverted on its range, which holds the
 Krylov space). So
 ``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
-``ridge_path`` solves a whole penalty grid from one eigendecomposition of G.
+``ridge_path`` solves a whole penalty grid from one eigendecomposition: of
+G, or of the n x n kernel matrix K = B B.T when the caller passes a factor B
+with fewer rows n than modes.
 ``krylov_oracle`` solves the same minimizations by explicit basis
 construction and dense least squares; it is deliberately independent of the
 recursion so the two can check each other.
@@ -31,7 +33,7 @@ recursion so the two can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -109,16 +111,21 @@ class GramSystem:
     n : int
         Number of rows of B; residual norms are rescaled by it, as in
         ``cg_fit``.
+
+    G and b are copied and frozen on construction; ``copy=False`` freezes
+    them in place instead, for arrays that nothing else holds.
     """
 
     G: np.ndarray
     b: np.ndarray
     yy: float
     n: int
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        G = np.array(self.G, dtype=float)
-        b = np.array(self.b, dtype=float).ravel()
+    def __post_init__(self, copy):
+        as_array = np.array if copy else np.asarray
+        G = as_array(self.G, dtype=float)
+        b = as_array(self.b, dtype=float).ravel()
         if G.ndim != 2 or G.shape != (b.size, b.size):
             raise InvalidInput(
                 f"G must be square with one row per entry of b, got {G.shape} and {b.size}"
@@ -172,7 +179,7 @@ class GramSystem:
         G *= np.outer(w, w)
         phi_y = np.sqrt(2.0) * P
         phi_y[0] = P[0]
-        return cls(G=G, b=w * phi_y, yy=yy, n=y.size)
+        return cls(G=G, b=w * phi_y, yy=yy, n=y.size, copy=False)
 
 
 def _check_mode(mode: str) -> None:
@@ -425,20 +432,47 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     return u @ coef
 
 
-def ridge_path(system: GramSystem, lams) -> np.ndarray:
-    """Ridge solutions for every penalty in ``lams`` from one eigendecomposition of G.
+def ridge_path(system: GramSystem, lams, rows=None) -> np.ndarray:
+    """Ridge solutions for every penalty in ``lams`` from one eigendecomposition.
 
     Row i is c = B.T alpha for alpha = (K + lam * I)^-1 Y at ``lams[i]``,
-    which by the push-through identity is (G + lam * I)^-1 b. With
-    G = V diag(mu) V.T that is V (V.T b / (mu + lam)). Nothing is divided by
-    a power of mu alone: near n = modes the spectrum of G reaches 1e-18.
+    which by the push-through identity is (G + lam * I)^-1 b. The smaller of
+    the two Gram matrices is decomposed:
+
+    - G = V diag(mu) V.T, (modes x modes), by default: c = V (V.T b / (mu + lam));
+    - K = B B.T = U diag(nu) U.T, (n x n), when ``rows = (B, Y)`` gives the
+      factor and the responses of ``system`` and B has fewer rows than
+      columns: c = B.T U (U.T Y / (nu + lam)), all penalties in one product.
+
+    With a ``rows`` factor of n >= modes rows the G route runs unchanged.
+    Nothing is divided by a power of mu or nu alone: near n = modes the
+    spectrum of G reaches 1e-18. Returns shape (len(lams), modes).
     """
-    lams = [float(lam) for lam in lams]
-    for lam in lams:
+    grid = np.asarray(lams, dtype=float)
+    if grid.ndim != 1:
+        raise InvalidInput(f"lams must be a 1-D grid of penalties, got shape {grid.shape}")
+    for lam in grid:
         if not lam > 0:
             raise InvalidInput(f"lambda must be positive, got {lam}")
+    modes = system.b.size
+    if rows is not None:
+        B, y = np.asarray(rows[0], dtype=float), np.asarray(rows[1], dtype=float).ravel()
+        if B.shape != (system.n, modes) or y.size != system.n:
+            raise InvalidInput(
+                f"rows of shapes {B.shape} and {y.shape} do not fit a system of "
+                f"{system.n} rows and {modes} modes"
+            )
+        if system.n >= modes:
+            rows = None
+    if grid.size == 0:
+        return np.empty((0, modes))
+    # K and G are positive semidefinite; a negative eigenvalue is rounding.
+    if rows is not None:
+        nu, u = np.linalg.eigh(B @ B.T)
+        np.maximum(nu, 0.0, out=nu)
+        alphas = u @ ((u.T @ y)[:, None] / (nu[:, None] + grid))
+        return alphas.T @ B
     mu, v = np.linalg.eigh(system.G)
-    # G is positive semidefinite; a negative eigenvalue is rounding.
     np.maximum(mu, 0.0, out=mu)
     vtb = v.T @ system.b
-    return np.array([v @ (vtb / (mu + lam)) for lam in lams])
+    return np.array([v @ (vtb / (mu + lam)) for lam in grid])

@@ -35,6 +35,7 @@ from kernelcg import (
     kn_inner,
     krylov_oracle,
     ridge_path,
+    spectral_error,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 from kernelcg.kernels import COSINE_BLOCK_ROWS
@@ -239,16 +240,66 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     modes = model.eigenvalues.size
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, modes)) if wide else int(rng.integers(modes + 1, modes + 200))
+    # Given the factor, a wide design decomposes K instead of G; a tall one
+    # keeps the G route bit for bit.
     x, y = draw(n, seed, model)
     dense = build_kernel_matrix(x, model.kernel)
     B = factor(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
-    path = ridge_path(gram_system(x, y, model), lams)
-    assert path.shape == (lams.size, modes)
-    assert np.all(np.isfinite(path))
-    for lam, c in zip(lams, path):
+    system = gram_system(x, y, model)
+    path = ridge_path(system, lams)
+    by_rows = ridge_path(system, lams, (B, y))
+    if not wide:
+        assert np.array_equal(by_rows, path)
+    for p in (path, by_rows):
+        assert p.shape == (lams.size, modes)
+        assert np.all(np.isfinite(p))
+    for lam, c, c_rows in zip(lams, path, by_rows):
         direct = B.T @ np.linalg.solve(dense.entries + lam * np.eye(n), y)
         assert rel(c, direct) <= 1e-8, lam
+        assert rel(c_rows, direct) <= 1e-8, lam
+        assert rel(c_rows, c) <= 1e-8, lam
+
+
+@pytest.mark.parametrize("n", [5, 130], ids=["wide", "tall"])
+def test_ridge_path_grid_edge_cases(n):
+    # Both routes return (0, modes) for an empty grid and refuse a 2-D one;
+    # a factor that does not fit the system is refused.
+    model = SHIPPED["inner_small"]
+    x, y = draw(n, n, model)
+    system = gram_system(x, y, model)
+    rows = (factor(x, model), y)
+    for r in (None, rows):
+        assert ridge_path(system, [], r).shape == (0, model.eigenvalues.size)
+        with pytest.raises(InvalidInput):
+            ridge_path(system, [[1.0, 2.0]], r)
+        with pytest.raises(InvalidInput):
+            ridge_path(system, [1.0, 0.0], r)
+    with pytest.raises(InvalidInput):
+        ridge_path(system, [1.0], (rows[0][:, 1:], y))
+    with pytest.raises(InvalidInput):
+        ridge_path(system, [1.0], (rows[0], y[1:]))
+
+
+def test_compare_ridge_columns_match_the_gram_route():
+    # n_grid straddles the 41 modes: 24 and 40 points take the K route, 48 the
+    # G route. Each record must equal the G route's best penalty and error.
+    d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
+    d["model"]["J"] = 40
+    cfg = replace(ExperimentConfig.from_dict(d), n_grid=(24, 40, 48), replicates=2)
+    model = cfg.model()
+    report = compare_solvers(cfg)
+    assert len(report.records) == 6 and not report.failures
+    for rec in report.records:
+        fit = fit_replicate(cfg, model, rec.n, rec.rep)
+        scale = np.sqrt(model.eigenvalues / rec.n)
+        errs = [
+            spectral_error(scale * c, model, 0.0) ** 2
+            for c in ridge_path(fit.system, report.lambda_grid)
+        ]
+        best = int(np.argmin(errs))
+        assert rec.ridge_lambda == pytest.approx(report.lambda_grid[best], rel=1e-10)
+        assert rec.ridge_error == pytest.approx(errs[best], rel=1e-10)
 
 
 #: The J=40 kernel of the memory test below, and the shipped J=120 and J=400.
@@ -329,6 +380,14 @@ def test_gram_system_is_frozen_and_validated():
     assert rel(system.G, B.T @ B) <= 1e-14 and rel(system.b, B.T @ y) <= 1e-14
     with pytest.raises(ValueError):
         system.G[0, 0] = 1.0
+    # A caller's arrays are copied and stay writable; copy=False freezes them.
+    G, b = np.eye(2), np.ones(2)
+    copied = GramSystem(G=G, b=b, yy=1.0, n=2)
+    assert not np.shares_memory(copied.G, G) and not np.shares_memory(copied.b, b)
+    assert G.flags.writeable and b.flags.writeable
+    kept = GramSystem(G=G, b=b, yy=1.0, n=2, copy=False)
+    assert kept.G is G and np.shares_memory(kept.b, b)
+    assert not G.flags.writeable and not kept.b.flags.writeable
     for args in ((x, np.ones(4)), ([], [])):
         with pytest.raises(InvalidInput):
             GramSystem.from_design(model.kernel, *args)
