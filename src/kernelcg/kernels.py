@@ -1,12 +1,14 @@
-"""The cosine series kernel, its normalized kernel matrix, and weighted inner products.
+"""The cosine series kernel and its dense normalized kernel matrix.
 
 ``MercerKernel`` is a truncated cosine series kernel on [0, 1] whose
 eigenvalues and eigenfunctions are known in closed form; every spectral
 computation downstream relies on them.
 
-Solvers see the kernel through the dense normalized ``KernelMatrix``, the
-reference route, or through the (J+1) x (J+1) ``solvers.GramSystem``.
-That system, the target values and the hold-out predictions need the design
+Every replicate sees the kernel through the (J+1) x (J+1)
+``solvers.GramSystem``. ``KernelMatrix`` is the dense reference that checks
+it: a caller forms the entries k(X_i, X_j) / n from ``MercerKernel.gram``
+and runs ``solvers.cg_fit`` and ``solvers.krylov_oracle`` on them. The Gram
+system, the target values and the hold-out predictions need the design
 only through sums of cos(l pi x_i), which ``_cosine_blocks`` supplies a block
 of points at a time, so a replicate never holds the n x (J+1) basis.
 """
@@ -14,7 +16,7 @@ of points at a time, so a replicate never holds the n x (J+1) basis.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -182,16 +184,14 @@ class KernelMatrix:
     """Normalized kernel matrix with entries k(X_i, X_j) / n, stored densely.
 
     Entries are copied and frozen on construction; both the matrix and its
-    size are safe to share across threads. ``copy=False`` freezes
-    ``entries`` in place instead, for an array that nothing else holds.
+    size are safe to share across threads.
     """
 
     entries: np.ndarray
     n: int
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy):
-        entries = (np.array if copy else np.asarray)(self.entries, dtype=float)
+    def __post_init__(self):
+        entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInput(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] != self.n:
@@ -218,33 +218,3 @@ class KernelMatrix:
         lam, q = np.linalg.eigh(self.entries)
         return np.sqrt(np.clip(lam, 0.0, None))[:, None] * q.T
 
-
-def build_kernel_matrix(points, kernel: MercerKernel) -> KernelMatrix:
-    """Construct the normalized kernel matrix with entries k(X_i, X_j) / n.
-
-    The raw Gram matrix is symmetrized as (G + G.T) / 2 before scaling, so
-    the result is symmetric bit-exactly regardless of how the kernel
-    evaluates its series.
-    """
-    x = np.asarray(points, dtype=float).ravel()
-    if x.size == 0:
-        raise InvalidInput("points must be non-empty")
-    g = kernel.gram(x, x)
-    entries = g + g.T
-    entries /= 2.0 * x.size
-    return KernelMatrix(entries=entries, n=x.size, copy=False)
-
-
-def kn_inner(u, v, K: KernelMatrix) -> float:
-    """Weighted inner product (1/n) * u.T @ K @ v.
-
-    Together with the 1/n already inside the matrix entries this realizes
-    the kernel-weighted seminorm used by the normal-equations solver.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.size != K.n or v.size != K.n:
-        raise InvalidInput(
-            f"dimension mismatch: u has {u.size}, v has {v.size}, matrix has {K.n}"
-        )
-    return float(u @ K.matvec(v)) / K.n

@@ -28,7 +28,9 @@ G, or of the n x n kernel matrix K = B B.T when the caller passes a factor B
 with fewer rows n than modes.
 ``krylov_oracle`` solves the same minimizations by explicit basis
 construction and dense least squares; it is deliberately independent of the
-recursion so the two can check each other.
+recursion so the two can check each other. No subcommand runs ``cg_fit`` or
+``krylov_oracle``: with ``kernels.KernelMatrix`` they are the dense reference
+that the tests and the benchmark's output check hold ``gram_fit`` to.
 """
 
 from __future__ import annotations
@@ -187,18 +189,13 @@ def _check_mode(mode: str) -> None:
         raise InvalidInput(f"mode must be 'kn_norm' or 'euclidean', got {mode!r}")
 
 
-def cg_fit(
-    K: KernelMatrix,
-    Y,
-    max_iter: int | None = None,
-    mode: Mode = "kn_norm",
-    stop: Callable[[int, float, np.ndarray], bool] | None = None,
-) -> CgTrace:
-    """Run the conjugate-gradient recursion and record every iterate up to the stop.
+def cg_fit(K: KernelMatrix, Y, max_iter: int | None = None, mode: Mode = "kn_norm") -> CgTrace:
+    """Run the conjugate-gradient recursion on the dense matrix and record every iterate.
 
     This is the module's one recursion on K, at power 1 (``kn_norm``) or 0
-    (``euclidean``). Its reorthogonalization stores three n-vectors per
-    iteration run (two in ``euclidean`` mode).
+    (``euclidean``): the dense reference that ``gram_fit`` is checked
+    against. Its reorthogonalization stores three n-vectors per iteration
+    run (two in ``euclidean`` mode).
 
     The ``euclidean`` mode drifts from the exact Krylov minimizer when K has
     rank below n, as a finite-rank kernel has once n is well above its
@@ -219,10 +216,6 @@ def cg_fit(
         Iteration budget; defaults to n and is capped at n.
     mode : {"kn_norm", "euclidean"}
         Norm minimized over the growing Krylov spaces.
-    stop : callable, optional
-        ``stop(m, residual_norm, alpha)``, called on iterate 0 and after every
-        recorded iterate; the run ends at the first True. The recursion does
-        not change, so a stopped trace is a bit-exact prefix of the full one.
 
     Returns
     -------
@@ -242,7 +235,7 @@ def cg_fit(
     """
     _check_mode(mode)
     y = _check_system(K, Y)
-    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0, stop)
+    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0, None)
 
 
 def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
@@ -373,10 +366,13 @@ def gram_fit(
 ) -> CgTrace:
     """``cg_fit`` on the factor's column space: row m of the trace is c_m = B.T alpha_m.
 
-    Takes ``cg_fit``'s budget (capped at n, the rows of B), ``stop`` (which
-    sees c_m in place of alpha_m), breakdown rules and reorthogonalization,
-    and records the same residual norms. Both modes are ``_recursion`` on
-    G c = b, at O(modes^2) per step whatever n is:
+    Takes ``cg_fit``'s budget (capped at n, the rows of B), breakdown rules
+    and reorthogonalization, and records the same residual norms. ``stop``,
+    if given, is called as ``stop(m, residual_norm, c_m)`` on iterate 0 and
+    after every recorded iterate, and the run ends at the first True; the
+    recursion does not change, so a stopped trace is a bit-exact prefix of
+    the full one. Both modes are ``_recursion`` on G c = b, at O(modes^2)
+    per step whatever n is:
 
     - ``kn_norm``, power 0: minimizes |b - G c| = |B.T (Y - K alpha)| over
       c in K_m(G, b) (the conjugate-residual method on G), one product with G
@@ -398,7 +394,9 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     through the matrix's ``sqrt_matvec``. The basis stops growing when a
     new vector lies in the span of the previous ones to within
     ``ORACLE_RANK_RTOL`` of its norm, so m beyond the reachable space returns
-    the terminal solution.
+    the terminal solution. A basis of n columns spans R^n, where both modes
+    are least at K^-1 Y; that is solved directly, since the weighted least
+    squares on R K U has condition number cond(K)^1.5.
     """
     _check_mode(mode)
     y = _check_system(K, Y)
@@ -421,6 +419,8 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
             break
         cols.append(w / norm)
         v = K.matvec(cols[-1])
+    if len(cols) == n:
+        return np.linalg.solve(K.entries, y)
     u = np.column_stack(cols)
 
     ku = K.matvec(u)

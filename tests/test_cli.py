@@ -18,10 +18,10 @@ import pytest
 from kernelcg import cli, harness
 from kernelcg.errors import NumericalFailure
 from kernelcg.harness import ExperimentConfig, config_hash, derive_seed
-from kernelcg.kernels import build_kernel_matrix
 from kernelcg.solvers import cg_fit
 from kernelcg.stopping import discrepancy_stop
 from kernelcg.synth import draw_sample
+from reference import dense
 
 
 def inner_dict(**overrides):
@@ -171,8 +171,7 @@ def test_fit_matches_direct_library_call(tmp_path, capsys):
     model = cfg.model()
     seed = derive_seed(cfg.master_seed, 16, 0)
     sample = draw_sample(model, 16, seed=seed)
-    K = build_kernel_matrix(sample.X_labeled, model.kernel)
-    trace = cg_fit(K, sample.Y, max_iter=16)
+    trace = cg_fit(dense(model.kernel, sample.X_labeled), sample.Y, max_iter=16)
     m_hat = discrepancy_stop(trace, payload["omega"])
 
     assert payload["n"] == 16

@@ -18,16 +18,15 @@ from kernelcg import (
     ErrorReport,
     InvalidInput,
     UniformBounded,
-    build_kernel_matrix,
     draw_sample,
     effective_dimension,
     error_norm,
     estimator_spectrum,
     eval_target,
-    kn_inner,
     make_model,
     spectral_error,
 )
+from reference import dense, quad
 
 INNER = make_model(s=0.5, r=1.0, rho=1.0, truncation=60)
 OUTER = make_model(
@@ -176,12 +175,12 @@ class TestErrorNorm:
         # theta = 1/2 distance to the zero function is the H-norm of the
         # expansion, which the Gram quadratic form computes independently.
         sample = draw_sample(INNER, 35, seed=41)
-        K = build_kernel_matrix(sample.X_labeled, INNER.kernel)
+        K = dense(INNER.kernel, sample.X_labeled)
         rng = np.random.Generator(np.random.Philox(42))
         alpha = rng.normal(0.0, 1.0, 35)
         c_hat = estimator_spectrum(alpha, sample.X_labeled, INNER)
         spectral_sq = math.fsum(c_hat**2 / INNER.eigenvalues)
-        quadratic_sq = kn_inner(alpha, alpha, K)
+        quadratic_sq = quad(alpha, alpha, K)
         assert spectral_sq == pytest.approx(quadratic_sq, rel=1e-6)
 
     @settings(max_examples=25, deadline=None)

@@ -2,12 +2,12 @@
 
 Every replicate runs on the (J+1) x (J+1) ``GramSystem`` of the cosine
 kernel, built from cosine moments of the design (``GramSystem.from_design``).
-That build is checked entry by entry against ``from_basis``, the same system
-formed from the basis matrix. The solvers (``gram_fit``, ``ridge_path``) are
-checked against ``cg_fit`` on the dense ``KernelMatrix``, against dense solves
-and against an explicit-basis minimizer; ``cg_fit`` itself is checked against
-``krylov_oracle``. Points are uniform draws, spectra those of the shipped
-configs.
+That build is checked entry by entry against ``reference.from_basis``, the
+same system formed from the basis matrix. The solvers (``gram_fit``,
+``ridge_path``) are checked against ``cg_fit`` on the dense ``KernelMatrix``
+(``reference.dense``), against dense solves and against an explicit-basis
+minimizer; ``cg_fit`` itself is checked against ``krylov_oracle``. Points
+are uniform draws, spectra those of the shipped configs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +26,17 @@ from kernelcg import (
     GramSystem,
     InvalidInput,
     MercerKernel,
-    build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
     eval_target,
     gram_fit,
-    kn_inner,
     krylov_oracle,
     ridge_path,
     spectral_error,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 from kernelcg.kernels import COSINE_BLOCK_ROWS
+from reference import dense, factor, from_basis, quad
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -55,24 +53,8 @@ def draw(n: int, seed: int, model):
     return x, y
 
 
-def factor(x, model) -> np.ndarray:
-    """B = Phi * sqrt(xi / n), so K = B B.T and a Gram-space iterate is B.T alpha."""
-    return model.kernel.basis(x) * np.sqrt(model.eigenvalues / len(x))
-
-
 def gram_system(x, y, model) -> GramSystem:
     return GramSystem.from_design(model.kernel, x, y)
-
-
-def from_basis(kernel: MercerKernel, x, y) -> GramSystem:
-    """The reference build: with Phi = ``kernel.basis(x)`` and w = sqrt(xi / n),
-    G = (Phi.T Phi) * w w.T and b = w * (Phi.T y)."""
-    phi = kernel.basis(x)
-    y = np.asarray(y, dtype=float)
-    w = np.sqrt(kernel.eigenvalues() / y.size)
-    G = phi.T @ phi
-    G *= np.outer(w, w)
-    return GramSystem(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
 
 
 def rel(a, b) -> float:
@@ -99,21 +81,19 @@ def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
     name, n, seed = case
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
-    dense = build_kernel_matrix(x, model.kernel)
     system = gram_system(x, y, model)
-    for fit in (partial(cg_fit, dense, y), partial(gram_fit, system)):
-        full = fit(mode=mode)
-        omega = 10.0**log_scale * full.residual_norms[0]
-        stopped = fit(mode=mode, stop=lambda m, res, a: res < omega)
-        m = stopped.m_last
-        assert np.array_equal(stopped.alphas, full.alphas[: m + 1])
-        assert np.array_equal(stopped.residual_norms, full.residual_norms[: m + 1])
-        if stopped.residual_norms[-1] < omega:
-            assert stopped.breakdown_at is None
-        else:
-            assert m == full.m_last
-            assert stopped.breakdown_at == full.breakdown_at
-        assert discrepancy_stop(stopped, omega) == discrepancy_stop(full, omega) == m
+    full = gram_fit(system, mode=mode)
+    omega = 10.0**log_scale * full.residual_norms[0]
+    stopped = gram_fit(system, mode=mode, stop=lambda m, res, c: res < omega)
+    m = stopped.m_last
+    assert np.array_equal(stopped.alphas, full.alphas[: m + 1])
+    assert np.array_equal(stopped.residual_norms, full.residual_norms[: m + 1])
+    if stopped.residual_norms[-1] < omega:
+        assert stopped.breakdown_at is None
+    else:
+        assert m == full.m_last
+        assert stopped.breakdown_at == full.breakdown_at
+    assert discrepancy_stop(stopped, omega) == discrepancy_stop(full, omega) == m
 
 
 # 32 iterates on designs of at least 64 points: in 600 draws of 64 to 600
@@ -121,20 +101,24 @@ def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
 # oracle weighted by the symmetric square root of K). Smaller designs are
 # compared over 6 iterates, because 32 steps reach or approach their exact
 # solve K^-1 Y, where the gap reached 5e4 times the tolerance (n=31). The
-# example is the draw where the symmetric root reached 1.3 times it.
+# first example is the draw where the symmetric root reached 1.3 times it.
+# At n <= 6 the 6 iterates can span R^n, where the oracle solves K alpha = Y
+# directly: in the second example its weighted least squares (condition
+# cond(K)^1.5) was 1.7e-8 from a 60-digit solve, against CG's 8.3e-12.
 @settings(max_examples=25, deadline=None)
 @given(cases, st.sampled_from(["kn_norm", "euclidean"]))
 @example(("inner_holdout", 118, 828489043), "kn_norm")
+@example(("inner_holdout", 6, 306334138), "kn_norm")
 def test_oracle_on_dense_matrix_matches_cg(case, mode):
     name, n, seed = case
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
-    dense = build_kernel_matrix(x, model.kernel)
-    trace = cg_fit(dense, y, max_iter=32 if n >= 64 else 6, mode=mode)
+    K = dense(model.kernel, x)
+    trace = cg_fit(K, y, max_iter=32 if n >= 64 else 6, mode=mode)
     for m in range(trace.m_last + 1):
-        oracle = krylov_oracle(dense, y, m, mode=mode)
+        oracle = krylov_oracle(K, y, m, mode=mode)
         diff = trace.alphas[m] - oracle
-        gap = np.sqrt(max(kn_inner(diff, diff, dense), 0.0))
+        gap = np.sqrt(max(quad(diff, diff, K), 0.0))
         assert gap <= 1e-8 * (1 + np.linalg.norm(y) / np.sqrt(n)), (m, gap)
 
 
@@ -149,7 +133,7 @@ def test_exhausted_gram_trace_stops_where_cg_fit_stops(mode):
     both_full = 0
     for seed in range(10):
         x, y = draw(12, seed, model)
-        ref = cg_fit(build_kernel_matrix(x, model.kernel), y, mode=mode)
+        ref = cg_fit(dense(model.kernel, x), y, mode=mode)
         fast = gram_fit(gram_system(x, y, model), mode=mode)
         assert discrepancy_stop(fast, 1e-300) == fast.m_last
         assert discrepancy_stop(ref, 1e-300) == ref.m_last
@@ -206,7 +190,7 @@ def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
     x, y = draw(n, seed, model)
     system = gram_system(x, y, model)
     budget = min(64, n // 2)
-    ref = cg_fit(build_kernel_matrix(x, model.kernel), y, max_iter=budget, mode=mode)
+    ref = cg_fit(dense(model.kernel, x), y, max_iter=budget, mode=mode)
     fast = gram_fit(system, max_iter=budget, mode=mode)
     if fast.m_last != ref.m_last:
         short, long = sorted((fast, ref), key=lambda t: t.m_last)
@@ -243,7 +227,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     # Given the factor, a wide design decomposes K instead of G; a tall one
     # keeps the G route bit for bit.
     x, y = draw(n, seed, model)
-    dense = build_kernel_matrix(x, model.kernel)
+    K = dense(model.kernel, x)
     B = factor(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
     system = gram_system(x, y, model)
@@ -255,7 +239,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
         assert p.shape == (lams.size, modes)
         assert np.all(np.isfinite(p))
     for lam, c, c_rows in zip(lams, path, by_rows):
-        direct = B.T @ np.linalg.solve(dense.entries + lam * np.eye(n), y)
+        direct = B.T @ np.linalg.solve(K.entries + lam * np.eye(n), y)
         assert rel(c, direct) <= 1e-8, lam
         assert rel(c_rows, direct) <= 1e-8, lam
         assert rel(c_rows, c) <= 1e-8, lam
@@ -362,7 +346,7 @@ def test_negative_weighted_residual_ends_the_run_as_a_breakdown():
     # The target through the basis, as eval_target summed it when this draw
     # was found: its last bits decide where the run meets the floor.
     y = model.kernel.basis(x) @ model.target_coeffs + rng.uniform(-0.5, 0.5, n)
-    trace = cg_fit(build_kernel_matrix(x, model.kernel), y, max_iter=64)
+    trace = cg_fit(dense(model.kernel, x), y, max_iter=64)
     assert n == 639
     assert (trace.m_last, trace.breakdown_at) == (59, 60)
     assert min(trace.residual_norms) > 0.0

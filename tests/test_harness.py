@@ -21,7 +21,6 @@ from kernelcg import (
     MercerKernel,
     ThresholdParams,
     UniformBounded,
-    build_kernel_matrix,
     cg_fit,
     discrepancy_stop,
     draw_sample,
@@ -55,6 +54,7 @@ from kernelcg.harness import (
     _median,
     _quantile,
 )
+from reference import dense
 
 REDUCED_INNER = (
     Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "inner_r1_s05.reduced.json"
@@ -359,8 +359,7 @@ class TestRunExperiment:
             rng = np.random.Generator(np.random.Philox(5))
             x = rng.random(n)
             y = eval_target(model, x)
-            K = build_kernel_matrix(x, model.kernel)
-            trace = cg_fit(K, y, max_iter=n)
+            trace = cg_fit(dense(model.kernel, x), y, max_iter=n)
             m_hat = discrepancy_stop(trace, 1e-300)
             assert m_hat == trace.m_last
             errs.append(error_norm(trace.alphas[m_hat], x, model, 0.0).error_value)
@@ -381,23 +380,21 @@ class TestFitReplicate:
             sample = draw_sample(model, n, seed=fit.seed)
             n_train = fit.points.size
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
-            dense = cg_fit(
-                build_kernel_matrix(fit.points, model.kernel), fit.y, max_iter=HOLDOUT_MAX_ITER
-            )
+            ref = cg_fit(dense(model.kernel, fit.points), fit.y, max_iter=HOLDOUT_MAX_ITER)
             cross = model.kernel.gram(x_val, fit.points)
-            expected = holdout_select(dense.alphas @ cross.T / n_train, y_val, model.noise.M)
+            expected = holdout_select(ref.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected, (n, rep)
 
     def test_discrepancy_errors_match_error_norm(self):
-        """The Gram-space stop and errors equal those of cg_fit on the dense
-        matrix with the same stop, measured by error_norm on alpha. The two
-        routes share no arithmetic past the basis: the largest gap was
-        1.2e-14 on this config's grid, and 1.0e-13 on the shipped configs."""
+        """The Gram-space stop and errors equal those of a full cg_fit run on
+        the dense matrix, stopped by discrepancy_stop and measured by
+        error_norm on alpha. The two routes share no arithmetic past the
+        basis: the largest gap was 1.2e-14 on this config's grid, and 1.0e-13
+        on the shipped configs."""
         cfg = inner_config()
         model = cfg.model()
         fit = fit_replicate(cfg, model, 64, 1)
-        K = build_kernel_matrix(fit.points, model.kernel)
-        ref = cg_fit(K, fit.y, stop=lambda m, res, a: res < fit.omega)
+        ref = cg_fit(dense(model.kernel, fit.points), fit.y)
         assert discrepancy_stop(ref, fit.omega) == fit.m_hat
         alpha = ref.alphas[fit.m_hat]
         for theta in (0.0, 0.5):
@@ -469,10 +466,9 @@ class TestFitReplicate:
             sample = draw_sample(model, 64, seed=fit.seed)
             n_train = fit.points.size
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
-            K = build_kernel_matrix(fit.points, model.kernel)
-            reference = cg_fit(K, fit.y, max_iter=HOLDOUT_MAX_ITER)
+            ref = cg_fit(dense(model.kernel, fit.points), fit.y, max_iter=HOLDOUT_MAX_ITER)
             cross = model.kernel.gram(x_val, fit.points)
-            expected = holdout_select(reference.alphas @ cross.T / n_train, y_val, model.noise.M)
+            expected = holdout_select(ref.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected
             scale = np.sqrt(model.eigenvalues / n_train)
             assert np.allclose(fit.spectrum, scale * fit.trace.alphas[fit.m_hat])
@@ -521,7 +517,7 @@ class TestCompareSolvers:
         rng = np.random.Generator(np.random.Philox(9))
         x = rng.random(32)
         y = eval_target(model, x)
-        K = build_kernel_matrix(x, model.kernel)
+        K = dense(model.kernel, x)
         trace = cg_fit(K, y, max_iter=32)
         cg_sq = error_norm(trace.alphas[trace.m_last], x, model, 0.0).error_value ** 2
         direct = np.linalg.solve(K.entries + 1e-10 * np.eye(K.n), y)

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import (
-    InvalidInput,
-    KernelMatrix,
-    MercerKernel,
-    build_kernel_matrix,
-    kn_inner,
-)
+from kernelcg import InvalidInput, KernelMatrix, MercerKernel
 from kernelcg.kernels import COSINE_BLOCK_ROWS, SERIES_FEW_ROWS, SERIES_TILE_ROWS
+from reference import dense, quad
 
 
 def series_gram_entry(kernel: MercerKernel, x: float, y: float) -> float:
@@ -110,10 +105,10 @@ class TestOperatorBuild:
         x = np.random.default_rng(5).random(64)
         phi, xi, n = reference_basis(kernel, x), kernel.eigenvalues(), x.size
         g = (phi * xi) @ phi.T
-        dense = (g + g.T) / (2.0 * n)
+        expected = (g + g.T) / (2.0 * n)
 
-        K = build_kernel_matrix(x, kernel)
-        assert np.array_equal(K.entries, dense)
+        K = dense(kernel, x)
+        assert np.array_equal(K.entries, expected)
         assert_frozen(K.entries)
 
     def test_constructors_copy_caller_arrays(self):
@@ -129,10 +124,10 @@ class TestOperatorBuild:
         assert np.array_equal(K.matvec(v), before)
 
 
-class TestBuildKernelMatrix:
+class TestDenseKernelMatrix:
     def test_single_point_is_unnormalized_diagonal(self):
         kernel = MercerKernel(decay_exponent=2.0, truncation=20)
-        K = build_kernel_matrix([0.3], kernel)
+        K = dense(kernel, [0.3])
         assert K.n == 1
         expected = series_gram_entry(kernel, 0.3, 0.3)
         assert K.entries[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -140,7 +135,7 @@ class TestBuildKernelMatrix:
     def test_mercer_matrix_matches_series_oracle(self):
         kernel = MercerKernel(decay_exponent=2.0, truncation=200)
         pts = np.array([0.1, 0.5, 0.9])
-        K = build_kernel_matrix(pts, kernel)
+        K = dense(kernel, pts)
         for i in range(3):
             for j in range(3):
                 expected = series_gram_entry(kernel, pts[i], pts[j]) / 3
@@ -153,32 +148,27 @@ class TestBuildKernelMatrix:
             MercerKernel(decay_exponent=1.5, truncation=40),
             MercerKernel(decay_exponent=2.0, truncation=300),
         ):
-            K = build_kernel_matrix(pts, kernel)
+            K = dense(kernel, pts)
             assert np.array_equal(K.entries, K.entries.T)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(1)
         pts = rng.random(30)
         kernel = MercerKernel(decay_exponent=2.0, truncation=100)
-        K = build_kernel_matrix(pts, kernel)
+        K = dense(kernel, pts)
         eigs = np.linalg.eigvalsh(K.entries)
         assert eigs.min() >= -1e-10 * kernel.kappa_bound
 
     def test_deterministic_rebuild(self):
         pts = np.random.default_rng(2).random(25)
         kernel = MercerKernel(decay_exponent=2.0, truncation=500)
-        a = build_kernel_matrix(pts, kernel)
-        b = build_kernel_matrix(pts, kernel)
+        a = dense(kernel, pts)
+        b = dense(kernel, pts)
         assert np.array_equal(a.entries, b.entries)
-
-    def test_empty_points_rejected(self):
-        kernel = MercerKernel(decay_exponent=2.0, truncation=20)
-        with pytest.raises(InvalidInput):
-            build_kernel_matrix([], kernel)
 
     def test_entries_frozen(self):
         kernel = MercerKernel(decay_exponent=2.0, truncation=20)
-        K = build_kernel_matrix([0.1, 0.2], kernel)
+        K = dense(kernel, [0.1, 0.2])
         with pytest.raises(ValueError):
             K.entries[0, 0] = 99.0
 
@@ -214,13 +204,13 @@ class TestGram:
         rng = np.random.default_rng(5)
         pts = rng.random(12)
         alpha = rng.standard_normal(12)
-        K = build_kernel_matrix(pts, self.KERNEL)
+        K = dense(self.KERNEL, pts)
         out = self.KERNEL.gram(pts, pts) @ alpha / pts.size
         assert out == pytest.approx(K.entries @ alpha, abs=1e-12)
 
     def test_diagonal_at_the_ends_is_kappa_bound(self):
         # cos(j pi x)**2 = 1 at x = 0 and x = 1, where k(x, x) attains its sup.
-        K = build_kernel_matrix([0.0, 1.0], self.KERNEL)
+        K = dense(self.KERNEL, [0.0, 1.0])
         np.testing.assert_allclose(np.diag(K.entries), self.KERNEL.kappa_bound / 2, rtol=1e-14)
 
 
@@ -249,41 +239,14 @@ class TestMercerEigenpairs:
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
-class TestKnInner:
-    def test_zero_vector(self):
-        K = KernelMatrix(entries=np.eye(3), n=3)
-        assert kn_inner(np.zeros(3), np.ones(3), K) == 0.0
-
-    def test_diagonal_hand_value(self):
-        K = KernelMatrix(entries=np.diag([1.0, 0.5]), n=2)
-        u = np.array([1.0, 1.0])
-        assert kn_inner(u, u, K) == pytest.approx(0.75, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        K = KernelMatrix(entries=np.eye(3), n=3)
-        with pytest.raises(InvalidInput):
-            kn_inner(np.ones(2), np.ones(3), K)
-
-    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_symmetry_random(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        entries = (a @ a.T) / n
-        K = KernelMatrix(entries=entries, n=n)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        lhs = kn_inner(u, v, K)
-        rhs = kn_inner(v, u, K)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
+class TestQuadraticForm:
     def test_quadratic_form_nearly_nonnegative(self):
         rng = np.random.default_rng(3)
         pts = rng.random(20)
-        K = build_kernel_matrix(pts, MercerKernel(decay_exponent=2.0, truncation=50))
+        K = dense(MercerKernel(decay_exponent=2.0, truncation=50), pts)
         for _ in range(20):
             u = rng.standard_normal(20)
-            assert kn_inner(u, u, K) >= -1e-10 * float(u @ u)
+            assert quad(u, u, K) >= -1e-10 * float(u @ u)
 
     def test_h_norm_identity_against_spectral_route(self):
         # For the series kernel, (1/n) a.T K a equals the squared H-norm of
@@ -291,14 +254,14 @@ class TestKnInner:
         rng = np.random.default_rng(4)
         kernel = MercerKernel(decay_exponent=2.0, truncation=400)
         pts = rng.random(15)
-        K = build_kernel_matrix(pts, kernel)
+        K = dense(kernel, pts)
         alpha = rng.standard_normal(15)
-        quad = kn_inner(alpha, alpha, K)
+        form = quad(alpha, alpha, K)
         phi = kernel.basis(pts)
         xi = kernel.eigenvalues()
         chat = xi * (phi.T @ alpha) / 15
         spectral = float(np.sum(chat**2 / xi))
-        assert quad == pytest.approx(spectral, rel=1e-8)
+        assert form == pytest.approx(spectral, rel=1e-8)
 
 
 class TestSeries:

@@ -7,10 +7,11 @@ from kernelcg import (
     KernelMatrix,
     NumericalFailure,
     cg_fit,
-    kn_inner,
+    gram_fit,
     krylov_oracle,
     ridge_path,
 )
+from reference import quad
 
 DIAG = KernelMatrix(entries=np.diag([1.0, 0.5]), n=2)
 ONES = np.array([1.0, 1.0])
@@ -84,6 +85,12 @@ class TestOracleEquivalence:
         assert beyond == pytest.approx(full, abs=1e-10)
 
     @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
+    def test_full_basis_is_the_direct_solve(self, mode):
+        # n Krylov vectors span R^n, where both modes are least at K^-1 Y.
+        K, y = random_psd_system(29, 6)
+        assert np.array_equal(krylov_oracle(K, y, 6, mode=mode), np.linalg.solve(K.entries, y))
+
+    @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
     def test_matches_cg_on_random_systems(self, mode):
         for seed in range(25):
             n = 3 + seed % 6
@@ -92,7 +99,7 @@ class TestOracleEquivalence:
             for m in range(trace.m_last + 1):
                 oracle = krylov_oracle(K, y, m, mode=mode)
                 diff = trace.alphas[m] - oracle
-                gap = np.sqrt(max(kn_inner(diff, diff, K), 0.0))
+                gap = np.sqrt(max(quad(diff, diff, K), 0.0))
                 assert gap <= 1e-8 * (1 + np.linalg.norm(y)), (seed, m, gap)
 
 
@@ -152,7 +159,8 @@ class TestTraceInvariants:
     def test_stop_at_zero_records_only_the_start(self):
         K, y = random_psd_system(17, 8)
         seen = []
-        trace = cg_fit(K, y, stop=lambda m, res, a: seen.append(m) or True)
+        _, system = gram_of(K, y)
+        trace = gram_fit(system, stop=lambda m, res, c: seen.append(m) or True)
         assert seen == [0]
         assert trace.m_last == 0
         assert trace.alphas.shape == (1, 8)
@@ -163,15 +171,16 @@ class TestTraceInvariants:
         K, y = random_psd_system(19, 8)
         seen = []
 
-        def stop(m, res, alpha):
-            seen.append((m, res, alpha.copy()))
+        def stop(m, res, c):
+            seen.append((m, res, c.copy()))
             return m == 5
 
-        trace = cg_fit(K, y, mode=mode, stop=stop)
+        _, system = gram_of(K, y)
+        trace = gram_fit(system, mode=mode, stop=stop)
         assert trace.m_last == 5
         assert [m for m, _, _ in seen] == list(range(6))
         assert [res for _, res, _ in seen] == trace.residual_norms
-        assert np.array_equal([a for _, _, a in seen], trace.alphas)
+        assert np.array_equal([c for _, _, c in seen], trace.alphas)
 
     def test_determinism_bit_identical(self):
         K, y = random_psd_system(13, 8)

@@ -19,6 +19,7 @@ from kernelcg.stopping import (
     threshold_inner,
     threshold_outer,
 )
+from reference import dense
 from test_solvers import random_psd_system
 
 
@@ -264,10 +265,7 @@ class TestHoldoutSelect:
         rng = np.random.default_rng(seed)
         x = rng.random(n)
         y = np.sin(2 * np.pi * x) + 0.1 * rng.standard_normal(n)
-        from kernelcg import build_kernel_matrix
-
-        K = build_kernel_matrix(x, self.KERNEL)
-        return x, y, cg_fit(K, y, max_iter=8)
+        return x, y, cg_fit(dense(self.KERNEL, x), y, max_iter=8)
 
     def _predictions(self, trace, x, val_x):
         """One row per iterate: the expansion of alpha_m over x, at val_x."""
