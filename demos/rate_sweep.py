@@ -21,16 +21,16 @@ config = ExperimentConfig(
     master_seed=101,
 )
 
-report = run_experiment(config)
+summary = run_experiment(config).summary
 
-print(f"regime: {report.regime}, config hash {report.config_hash[:12]}...")
+print(f"regime: {summary['regime']}, config hash {summary['config_hash'][:12]}...")
 print()
 print("   n  theta  median error (squared)   median m_hat")
-for p in report.per_point:
-    print(f"{p.n:4d}  {p.theta:5g}  {p.median_error:22.6g}  {p.median_m_hat:12g}")
+for p in summary["per_point"]:
+    print(f"{p['n']:4d}  {p['theta']:5g}  {p['median_error']:22.6g}  {p['median_m_hat']:12g}")
 print()
-for s in report.slopes:
+for s in summary["slopes"]:
     print(
-        f"theta={s.theta:g}: fitted slope {s.slope:+.3f}, "
-        f"theory {s.theoretical_exponent:+.3f}, gap {s.slope_gap:+.3f}"
+        f"theta={s['theta']:g}: fitted slope {s['slope']:+.3f}, "
+        f"theory {s['theoretical_exponent']:+.3f}, gap {s['slope_gap']:+.3f}"
     )

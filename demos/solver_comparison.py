@@ -4,12 +4,13 @@
 On shared samples, the weighted run stops by the calibrated threshold; the
 plain-residual variant reports the first iteration reaching the same accuracy;
 ridge reports its best penalty from a 20-point log grid. The plain-residual
-run and all 20 ridge solutions work on the (J+1) x (J+1) Gram matrix
-G = B.T B of the kernel factor, the ridge grid from one eigendecomposition
-of G.
+run works on the (J+1) x (J+1) Gram matrix G = B.T B of the kernel factor.
+All 20 ridge solutions of a replicate come from one eigendecomposition: of G
+when n >= J+1, else of the smaller n x n kernel matrix K, as at n = 64 and
+128 on this J = 200 grid.
 """
 
-from kernelcg import CompareReport, ExperimentConfig, UniformBounded, compare_solvers
+from kernelcg import ExperimentConfig, UniformBounded, compare_solvers
 
 config = ExperimentConfig(
     s=0.5, r=1.0, rho=1.0, J=200,
@@ -22,13 +23,13 @@ config = ExperimentConfig(
     master_seed=101,
 )
 
-report: CompareReport = compare_solvers(config)
+summary = compare_solvers(config).summary
+lam_grid = summary["lambda_grid"]
 
-print(f"lambda grid: {len(report.lambda_grid)} points "
-      f"[{report.lambda_grid[0]:.2e} .. {report.lambda_grid[-1]:.2e}]")
+print(f"lambda grid: {len(lam_grid)} points [{lam_grid[0]:.2e} .. {lam_grid[-1]:.2e}]")
 print()
 print("   n  weighted m_hat  error        plain m  matched  ridge error")
-for row in report.medians:
+for row in summary["medians"]:
     print(
         f"{row['n']:4d}  {row['cg_m_hat']:14g}  {row['cg_error']:.3e}  "
         f"{row['cgme_m']:7g}  {row['match_rate']:7.0%}  {row['ridge_error']:.3e}"

@@ -21,12 +21,8 @@ from .harness import (
     config_hash,
     derive_seed,
     fit_replicate,
+    render_report,
     run_experiment,
-    write_compare_csv,
-    write_compare_json,
-    write_plot_tsv,
-    write_rows_csv,
-    write_summary_json,
     write_text_atomic,
 )
 from .synth import draw_sample, model_to_dict, sample_to_dict
@@ -95,57 +91,50 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _exit_code(args, report) -> int:
+def _exit_code(args, failures: list[str]) -> int:
     """Name each failure; a run with any exits 2, its partial results written."""
-    for f in report.failures:
+    for f in failures:
         _emit(args, f"FAILED {f}")
-    if not report.incomplete:
+    if not failures:
         return EXIT_OK
-    print("partial results written; failures: " + "; ".join(report.failures), file=sys.stderr)
+    print("partial results written; failures: " + "; ".join(failures), file=sys.stderr)
     return EXIT_NUMERICAL
 
 
-#: (rows CSV, summary JSON) written by each rate-sweep subcommand.
+#: (rows CSV, summary JSON) written by each sweep subcommand.
 _SWEEP_ARTIFACTS = {
     "rates": ("rates.csv", "rate_report.json"),
     "holdout": ("holdout.csv", "holdout_report.json"),
+    "compare": ("compare.csv", "compare_summary.json"),
 }
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    csv_name, summary_name = _SWEEP_ARTIFACTS[args.subcommand]
-    report = run_experiment(cfg)
-    write_rows_csv(report, os.path.join(args.out, csv_name))
-    write_summary_json(report, os.path.join(args.out, summary_name))
-    write_plot_tsv(report, args.out)
-    for p in report.per_point:
+    report = compare_solvers(cfg) if args.subcommand == "compare" else run_experiment(cfg)
+    for name, text in render_report(report, *_SWEEP_ARTIFACTS[args.subcommand]).items():
+        write_text_atomic(os.path.join(args.out, name), text)
+    summary = report.summary
+    for p in summary.get("per_point", ()):
         _emit(
             args,
-            f"{report.regime} n={p.n} theta={p.theta:g} "
-            f"median_error={p.median_error:.6g} "
-            f"iqr=[{p.iqr_low:.6g}, {p.iqr_high:.6g}] m_hat={p.median_m_hat:g}",
+            f"{summary['regime']} n={p['n']} theta={p['theta']:g} "
+            f"median_error={p['median_error']:.6g} "
+            f"iqr=[{p['iqr_low']:.6g}, {p['iqr_high']:.6g}] m_hat={p['median_m_hat']:g}",
         )
-    for s in report.slopes:
+    for s in summary.get("slopes", ()):
         _emit(
             args,
-            f"theta={s.theta:g}: slope={s.slope:+.4f} "
-            f"theory={s.theoretical_exponent:+.4f} gap={s.slope_gap:+.4f}",
+            f"theta={s['theta']:g}: slope={s['slope']:+.4f} "
+            f"theory={s['theoretical_exponent']:+.4f} gap={s['slope_gap']:+.4f}",
         )
-    return _exit_code(args, report)
-
-
-def _cmd_compare(args, cfg: ExperimentConfig) -> int:
-    report = compare_solvers(cfg)
-    write_compare_csv(report, os.path.join(args.out, "compare.csv"))
-    write_compare_json(report, os.path.join(args.out, "compare_summary.json"))
-    for row in report.medians:
+    for row in summary.get("medians", ()):
         _emit(
             args,
             f"n={row['n']} cg_m_hat={row['cg_m_hat']:g} cg_error={row['cg_error']:.6g} "
             f"cgme_m={row['cgme_m']:g} match_rate={row['match_rate']:.2f} "
             f"ridge_error={row['ridge_error']:.6g}",
         )
-    return _exit_code(args, report)
+    return _exit_code(args, summary["failures"])
 
 
 def _cmd_fit(args, cfg: ExperimentConfig) -> int:
@@ -202,7 +191,7 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "rates": _cmd_sweep,
     "holdout": _cmd_sweep,
-    "compare": _cmd_compare,
+    "compare": _cmd_sweep,
 }
 
 

@@ -122,11 +122,13 @@ def effective_dimension(
     index ``tail_from``, the neglected mass is bounded by the integral of
     1 / (1 + lam * t**tail_decay) from tail_from to infinity (``_tail_integral``).
     """
-    if not lam > 0:
-        raise InvalidInput(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise InvalidInput(f"lambda must be positive and finite, got {lam}")
     xi = np.asarray(eigenvalues, dtype=float).ravel()
     if xi.size == 0:
         raise InvalidInput("eigenvalues must be non-empty")
+    if not np.all(np.isfinite(xi)):
+        raise InvalidInput("eigenvalues must be finite")
     truncated = math.fsum((xi / (xi + lam)).tolist())
     tail = 0.0
     if tail_decay is not None:

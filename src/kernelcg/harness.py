@@ -3,10 +3,9 @@
 Runs the solver plus a stopping rule across sample sizes, aggregates
 replicate medians, fits log-log slopes, and compares them with the
 theoretical exponents. Also houses the solver comparison (weighted CG
-vs. plain-residual CG vs. ridge on a lambda grid) and the file writers
-shared with the command-line front end. Both the rate sweep and the
-comparison run one replicate loop, ``_sweep``, and write their CSV rows
-and JSON summaries from the fields of their record dataclasses.
+vs. plain-residual CG vs. ridge on a lambda grid). Both run one replicate
+loop, ``_sweep``, and return one ``SweepReport``: records plus the summary
+dict; ``render_report`` turns a report into the text of its artifacts.
 
 Error columns everywhere hold SQUARED distances, so fitted slopes are
 comparable with the exponent -2(r - theta)/(2r + s).
@@ -332,16 +331,6 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class GridPointStat:
-    n: int
-    theta: float
-    median_error: float
-    iqr_low: float
-    iqr_high: float
-    median_m_hat: float
-
-
-@dataclass(frozen=True)
 class SlopeFit:
     slope: float
     intercept: float
@@ -349,29 +338,19 @@ class SlopeFit:
 
 
 @dataclass(frozen=True)
-class SlopeSummary:
-    theta: float
-    slope: float
-    intercept: float
-    residual: float
-    theoretical_exponent: float
-    slope_gap: float
-    n_points: int
+class SweepReport:
+    """What ``run_experiment`` or ``compare_solvers`` reports.
 
+    ``records`` holds one ``record_type`` per CSV row; the class names the
+    columns, also when every replicate failed. ``summary`` is the dict the
+    summary JSON holds: provenance, ``incomplete`` and ``failures``, plus the
+    sweep's aggregates as plain entries (``per_point`` and ``slopes`` of a
+    rate sweep, ``lambda_grid`` and ``medians`` of the comparison).
+    """
 
-@dataclass(frozen=True)
-class RateReport:
-    config_hash: str
-    master_seed: int
-    regime: str
-    rows: tuple[RunRecord, ...]
-    per_point: tuple[GridPointStat, ...]
-    slopes: tuple[SlopeSummary, ...]
-    failures: tuple[str, ...] = ()
-
-    @property
-    def incomplete(self) -> bool:
-        return bool(self.failures)
+    record_type: type
+    records: tuple
+    summary: dict
 
 
 def fit_loglog_slope(ns, errors) -> SlopeFit:
@@ -379,7 +358,8 @@ def fit_loglog_slope(ns, errors) -> SlopeFit:
 
     Non-positive errors cannot be logged; they are clamped to the spectral
     resolution floor with a warning, since an exactly-zero measured error
-    only means the exact norm bottomed out.
+    only means the exact norm bottomed out. Sample sizes that are not
+    positive and finite, and non-finite errors, are an InvalidInput.
     """
     ns = np.asarray(ns, dtype=float).ravel()
     errors = np.asarray(errors, dtype=float).ravel()
@@ -389,6 +369,10 @@ def fit_loglog_slope(ns, errors) -> SlopeFit:
         )
     if ns.size < 2:
         raise InvalidInput("slope fit needs at least 2 grid points")
+    if not np.all((ns > 0.0) & (ns < np.inf)):  # NaN fails both
+        raise InvalidInput(f"sample sizes must be positive and finite, got {ns.tolist()}")
+    if not np.all(np.isfinite(errors)):
+        raise InvalidInput(f"errors must be finite, got {errors.tolist()}")
     if np.any(errors <= 0.0):
         warnings.warn(
             "non-positive errors clamped to the spectral floor before log-log fit",
@@ -548,11 +532,27 @@ def _quantile(values, t: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def run_experiment(cfg: ExperimentConfig) -> RateReport:
+def _report(cfg: ExperimentConfig, record_type: type, rows, failures, **entries) -> SweepReport:
+    """The report of a sweep: its summary is ``entries`` plus the provenance and
+    failure keys every summary shares."""
+    summary = {
+        "config_hash": config_hash(cfg),
+        "master_seed": cfg.master_seed,
+        "incomplete": bool(failures),
+        "failures": failures,
+        **entries,
+    }
+    return SweepReport(record_type, tuple(rows), summary)
+
+
+def run_experiment(cfg: ExperimentConfig) -> SweepReport:
     """Sweep the n-grid with seeded replicates and fit log-log slopes.
 
-    Replicates that fail numerically are recorded in ``failures``, which
-    flags the report incomplete; aggregation uses the surviving runs.
+    The summary holds one ``per_point`` entry per (n, theta) with surviving
+    replicates (median and quartiles of the squared error, median stop
+    index) and one ``slopes`` entry per theta with at least 2 such points.
+    Replicates that fail numerically, and thetas left without a slope, are
+    listed in ``failures``, which flags the report incomplete.
     """
     model = cfg.model()
 
@@ -565,35 +565,34 @@ def run_experiment(cfg: ExperimentConfig) -> RateReport:
 
     rows, failures = _sweep(cfg, model, records)
 
-    per_point: list[GridPointStat] = []
+    per_point = []
     for n in cfg.n_grid:
         for theta in cfg.theta_list:
             group = [r for r in rows if r.n == n and r.theta == theta]
             if not group:
                 continue
             errs = [r.error for r in group]
-            per_point.append(GridPointStat(
-                n, theta, _median(errs), _quantile(errs, 0.25), _quantile(errs, 0.75),
-                _median([r.m_hat for r in group]),
-            ))
+            per_point.append({
+                "n": n, "theta": theta, "median_error": _median(errs),
+                "iqr_low": _quantile(errs, 0.25), "iqr_high": _quantile(errs, 0.75),
+                "median_m_hat": _median([r.m_hat for r in group]),
+            })
 
-    slopes: list[SlopeSummary] = []
+    slopes = []
     for theta in cfg.theta_list:
-        stats = [p for p in per_point if p.theta == theta]
+        stats = [p for p in per_point if p["theta"] == theta]
         theo = -2.0 * (cfg.r - theta) / (2.0 * cfg.r + cfg.s)
         if len(stats) < 2:
             failures.append(f"theta={theta}: fewer than 2 grid points survived")
             continue
-        fit = fit_loglog_slope([p.n for p in stats], [p.median_error for p in stats])
-        slopes.append(SlopeSummary(
-            theta=theta, **asdict(fit), theoretical_exponent=theo,
-            slope_gap=fit.slope - theo, n_points=len(stats),
-        ))
+        fit = fit_loglog_slope([p["n"] for p in stats], [p["median_error"] for p in stats])
+        slopes.append({
+            "theta": theta, **asdict(fit), "theoretical_exponent": theo,
+            "slope_gap": fit.slope - theo, "n_points": len(stats),
+        })
 
-    return RateReport(
-        config_hash=config_hash(cfg), master_seed=cfg.master_seed, regime=cfg.regime,
-        rows=tuple(rows), per_point=tuple(per_point), slopes=tuple(slopes),
-        failures=tuple(failures),
+    return _report(
+        cfg, RunRecord, rows, failures, regime=cfg.regime, per_point=per_point, slopes=slopes
     )
 
 
@@ -618,21 +617,7 @@ class CompareRecord:
 _COMPARE_MEDIANS = ("cg_m_hat", "cg_error", "cgme_m", "cgme_error", "ridge_error")
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    config_hash: str
-    master_seed: int
-    lambda_grid: tuple[float, ...]
-    records: tuple[CompareRecord, ...]
-    medians: tuple[dict, ...]  # one summary dict per n with surviving replicates
-    failures: tuple[str, ...] = ()
-
-    @property
-    def incomplete(self) -> bool:
-        return bool(self.failures)
-
-
-def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
+def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
     The weighted run always stops by the discrepancy rule, whatever
@@ -647,12 +632,13 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
     run's accuracy (or runs its whole budget and reports its best iteration
     when it never does); ridge reports its best penalty from a log-spaced
     grid. All errors are squared prediction-norm distances, squared as in
-    ``ReplicateFit.squared_error``. Failures are kept as in ``run_experiment``,
-    and a grid point with no surviving replicate gets no medians row.
+    ``ReplicateFit.squared_error``. The summary holds the ``lambda_grid`` and
+    one ``medians`` row per n with surviving replicates; failures are kept as
+    in ``run_experiment``.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, holdout_fraction=None)
-    lam_grid = tuple((model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)).tolist())
+    lam_grid = (model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)).tolist()
 
     def records(fit: ReplicateFit) -> list[CompareRecord]:
         cg_error = fit.squared_error(model, 0.0)
@@ -695,10 +681,7 @@ def compare_solvers(cfg: ExperimentConfig) -> CompareReport:
             **{k: _median([getattr(r, k) for r in group]) for k in _COMPARE_MEDIANS},
             "match_rate": sum(r.cgme_matched for r in group) / len(group),
         })
-    return CompareReport(
-        config_hash=config_hash(cfg), master_seed=cfg.master_seed, lambda_grid=lam_grid,
-        records=tuple(rows), medians=tuple(medians), failures=tuple(failures),
-    )
+    return _report(cfg, CompareRecord, rows, failures, lambda_grid=lam_grid, medians=medians)
 
 
 # --- persistence -------------------------------------------------------------
@@ -730,83 +713,39 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_table(report, columns, rows, path: str, sep: str = ",") -> None:
+def _table(head: str, columns, rows, sep: str = ",") -> str:
     """Provenance line, header, then one line of ``_fmt`` values per row."""
-    lines = [
-        f"# config_hash={report.config_hash} master_seed={report.master_seed}",
-        sep.join(columns),
-    ]
+    lines = [head, sep.join(columns)]
     lines += [sep.join(map(_fmt, row)) for row in rows]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_csv(report, record_type, rows, path: str) -> None:
-    """One column per field of ``record_type``, in field order."""
-    names = [f.name for f in fields(record_type)]
-    _write_table(report, names, ([getattr(r, name) for name in names] for r in rows), path)
+def render_report(report: SweepReport, csv_name: str, json_name: str) -> dict[str, str]:
+    """The artifacts of a sweep as {file name: text}, in writing order.
 
-
-def write_rows_csv(report: RateReport, path: str) -> None:
-    """Raw per-replicate records; column order is part of the contract."""
-    _write_csv(report, RunRecord, report.rows, path)
-
-
-def _report_dict(report, **entries) -> dict:
-    """Provenance and failure keys shared by every JSON summary, plus ``entries``."""
-    return {
-        "config_hash": report.config_hash,
-        "master_seed": report.master_seed,
-        "incomplete": report.incomplete,
-        "failures": list(report.failures),
-        **entries,
-    }
-
-
-def summary_dict(report: RateReport) -> dict:
-    return _report_dict(
-        report,
-        regime=report.regime,
-        per_point=[asdict(p) for p in report.per_point],
-        slopes=[asdict(s) for s in report.slopes],
-    )
-
-
-def write_summary_json(report: RateReport, path: str) -> None:
-    write_text_atomic(path, canonical_json(summary_dict(report)))
-
-
-def write_plot_tsv(report: RateReport, out_dir: str) -> list[str]:
-    """One TSV per theta: log n, log median error, theoretical line.
-
-    The theoretical line has the exact exponent as slope and is anchored
-    on the fitted line at the center of the grid, so the two columns are
-    directly comparable in any plotting tool.
+    ``csv_name`` gets one row per record and one column per field of
+    ``report.record_type``, in field order (the column order is part of the
+    contract); ``json_name`` gets the summary as ``canonical_json``. Each
+    fitted slope adds ``plot_theta_<theta>.tsv``: log n, log median error and
+    the theoretical line, which has the exact exponent as slope and is
+    anchored on the fitted line at the center of the grid, so the two columns
+    are directly comparable in any plotting tool.
     """
-    paths = []
-    for s in report.slopes:
-        stats = [p for p in report.per_point if p.theta == s.theta]
-        log_n = np.log([p.n for p in stats])
-        log_err = np.log([p.median_error for p in stats])
+    summary = report.summary
+    head = f"# config_hash={summary['config_hash']} master_seed={summary['master_seed']}"
+    names = [f.name for f in fields(report.record_type)]
+    files = {
+        csv_name: _table(head, names, ([getattr(r, k) for k in names] for r in report.records)),
+        json_name: canonical_json(summary),
+    }
+    for s in summary.get("slopes", ()):
+        stats = [p for p in summary["per_point"] if p["theta"] == s["theta"]]
+        log_n = np.log([p["n"] for p in stats])
+        log_err = np.log([p["median_error"] for p in stats])
         center = float(np.mean(log_n))
-        anchor = s.slope * center + s.intercept
-        theory = anchor + s.theoretical_exponent * (log_n - center)
-        path = os.path.join(out_dir, f"plot_theta_{s.theta:g}.tsv")
-        columns = ("log_n", "log_median_error", "theoretical_line")
+        anchor = s["slope"] * center + s["intercept"]
+        theory = anchor + s["theoretical_exponent"] * (log_n - center)
         rows = zip(log_n.tolist(), log_err.tolist(), theory.tolist())
-        _write_table(report, columns, rows, path, sep="\t")
-        paths.append(path)
-    return paths
-
-
-def compare_dict(report: CompareReport) -> dict:
-    return _report_dict(
-        report, lambda_grid=list(report.lambda_grid), medians=list(report.medians)
-    )
-
-
-def write_compare_csv(report: CompareReport, path: str) -> None:
-    _write_csv(report, CompareRecord, report.records, path)
-
-
-def write_compare_json(report: CompareReport, path: str) -> None:
-    write_text_atomic(path, canonical_json(compare_dict(report)))
+        columns = ("log_n", "log_median_error", "theoretical_line")
+        files[f"plot_theta_{s['theta']:g}.tsv"] = _table(head, columns, rows, sep="\t")
+    return files

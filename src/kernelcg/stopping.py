@@ -74,6 +74,8 @@ class ThresholdParams:
             raise InvalidInput(f"s must lie in (0, 1), got {self.s}")
         if self.rho is not None and not self.rho > 0:
             raise InvalidInput(f"rho must be positive, got {self.rho}")
+        if not 0 < self.tau_prime < math.inf:
+            raise InvalidInput(f"tau_prime must be positive and finite, got {self.tau_prime}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def threshold_outer(p: ThresholdParams) -> ThresholdResult:
 #: Fraction of the noise floor the calibrated threshold sits at when
 #: tau_prime equals its regime minimum and n equals the anchor size.
 #: Chosen once against oracle-stopped runs. The notes of that calibration are
-#: not in the repository; ROADMAP item 2 plans a demo that re-derives it.
+#: not in the repository; ROADMAP item 3 plans a demo that re-derives it.
 CALIBRATION_FRACTION = 0.39
 
 #: Smallest admissible tau_prime per regime; the calibrated threshold
@@ -190,13 +192,11 @@ def threshold_calibrated(
         Trace of the kernel operator (sum of eigenvalues).
     n_ref : float
         Anchor sample size, typically the geometric mean of the sweep grid.
+        It, sigma and trace_k must be positive and finite.
     """
-    if not sigma > 0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
-    if not trace_k > 0:
-        raise InvalidInput(f"trace_k must be positive, got {trace_k}")
-    if not n_ref > 0:
-        raise InvalidInput(f"n_ref must be positive, got {n_ref}")
+    for name, value in (("sigma", sigma), ("trace_k", trace_k), ("n_ref", n_ref)):
+        if not 0 < value < math.inf:
+            raise InvalidInput(f"{name} must be positive and finite, got {value}")
     tau_floor = TAU_PRIME_FLOOR_INNER if p.r >= 0.5 else TAU_PRIME_FLOOR_OUTER
     excess = (1.0 - p.s) / (2.0 * (2.0 * p.r + p.s))
     floor_n = sigma * math.sqrt(trace_k / p.n)
@@ -236,7 +236,8 @@ def holdout_select(predictions, val_labels, M_clip: float) -> int:
     ``predictions`` holds one row per candidate iterate and one column per
     validation point. Predictions are clamped to [-M_clip, M_clip], and the
     row with the smallest mean squared validation error wins; ties break
-    toward the smallest index.
+    toward the smallest index. A non-finite loss (a NaN prediction, a
+    non-finite label) is an InvalidInput.
     """
     preds = np.asarray(predictions, dtype=float)
     val_y = np.asarray(val_labels, dtype=float).ravel()
@@ -251,6 +252,10 @@ def holdout_select(predictions, val_labels, M_clip: float) -> int:
     # Row by row, so temporaries are validation-sized; each loss is the same
     # pairwise sum as a row of the 2-D mean.
     losses = [np.mean((np.clip(row, -M_clip, M_clip) - val_y) ** 2) for row in preds]
+    finite = np.isfinite(losses)
+    if not finite.all():
+        m = int(np.argmin(finite))
+        raise InvalidInput(f"hold-out losses must be finite; iterate {m} has {float(losses[m])}")
     return int(np.argmin(losses))
 
 

@@ -300,7 +300,8 @@ def eval_target(model: MercerModel, x):
     is float rounding.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    # min and max propagate NaN, which fails both comparisons.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise InvalidInput(f"points must lie in [0, 1], got range "
                            f"[{arr.min():.6g}, {arr.max():.6g}]")
     values = model.kernel.series(arr, model.target_coeffs)

@@ -145,34 +145,34 @@ def test_monotonicity_and_membership():
 def test_inner_rate_exponents():
     cfg = _load_config("inner_r1_s05.json")
     t0 = time.perf_counter()
-    report = run_experiment(cfg)
+    summary = run_experiment(cfg).summary
     elapsed = time.perf_counter() - t0
-    assert not report.incomplete, report.failures
+    assert not summary["incomplete"], summary["failures"]
     tolerances = {0.0: 0.15, 0.5: 0.20}
     details = []
     ok = True
-    for s in report.slopes:
-        tol = tolerances[s.theta]
+    for s in summary["slopes"]:
+        tol = tolerances[s["theta"]]
         details.append(
-            f"theta={s.theta:g} slope={s.slope:+.3f} "
-            f"(target {s.theoretical_exponent:+.1f} +/- {tol:g})"
+            f"theta={s['theta']:g} slope={s['slope']:+.3f} "
+            f"(target {s['theoretical_exponent']:+.1f} +/- {tol:g})"
         )
-        ok = ok and abs(s.slope_gap) <= tol
+        ok = ok and abs(s["slope_gap"]) <= tol
     _line("inner-regime rate exponents", ok, "; ".join(details) + f"; {elapsed:.0f}s")
 
 
 def test_outer_rate_exponents():
     cfg = _load_config("outer_r025_s05.json")
     t0 = time.perf_counter()
-    report = run_experiment(cfg)
+    summary = run_experiment(cfg).summary
     elapsed = time.perf_counter() - t0
-    assert not report.incomplete, report.failures
-    (slope,) = report.slopes
-    ok = abs(slope.slope_gap) <= 0.20
+    assert not summary["incomplete"], summary["failures"]
+    (slope,) = summary["slopes"]
+    ok = abs(slope["slope_gap"]) <= 0.20
     _line(
         "outer-regime rate exponent",
         ok,
-        f"theta=0 slope={slope.slope:+.3f} (target {slope.theoretical_exponent:+.1f} "
+        f"theta=0 slope={slope['slope']:+.3f} (target {slope['theoretical_exponent']:+.1f} "
         f"+/- 0.20); padded designs, {elapsed:.0f}s",
     )
 

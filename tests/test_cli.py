@@ -432,6 +432,42 @@ def test_compare_writes_partial_results_and_exits_two(tmp_path, capsys, monkeypa
     assert [row["n"] for row in summary["medians"]] == [16]
 
 
+@pytest.mark.parametrize(
+    "subcommand, csv_name, header",
+    [
+        ("rates", "rates.csv", "regime,n,rep,theta,error,m_hat,omega,seed"),
+        ("compare", "compare.csv", "n,rep,seed,cg_m_hat,cg_error,cgme_m,cgme_error,"
+         "cgme_matched,ridge_lambda,ridge_error"),
+    ],
+)
+def test_every_replicate_failing_writes_header_only_csv(
+    tmp_path, capsys, monkeypatch, subcommand, csv_name, header
+):
+    # With no record to read them from, the CSV columns come from the record class.
+    def gram_fit(system, *args, **kwargs):
+        raise NumericalFailure("synthetic blow-up", iteration=1)
+
+    monkeypatch.setattr(harness, "gram_fit", gram_fit)
+    out = tmp_path / "out"
+    rc = cli.main([subcommand, "--config", write_config(tmp_path, inner_dict()), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "partial results written" in captured.err
+    lines = (out / csv_name).read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# config_hash=")
+    assert lines[1] == header
+    if subcommand == "rates":
+        assert "FAILED theta=0.0: fewer than 2 grid points survived" in captured.out
+        assert not list(out.glob("plot_theta_*.tsv"))
+        summary = json.loads((out / "rate_report.json").read_text())
+        assert summary["per_point"] == [] and summary["slopes"] == []
+    else:
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert summary["medians"] == []
+    assert summary["incomplete"] is True
+    assert len([f for f in summary["failures"] if "synthetic blow-up" in f]) == 4
+
+
 def test_simulate_writes_samples_and_manifest(tmp_path):
     cfg_path = write_config(tmp_path, inner_dict())
     out = tmp_path / "out"

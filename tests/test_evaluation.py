@@ -301,3 +301,16 @@ class TestEffectiveDimension:
             effective_dimension([], 1.0)
         with pytest.raises(InvalidInput):
             effective_dimension([1.0], 1.0, tail_decay=2.0)
+
+    @pytest.mark.parametrize("tail", [None, 2.0], ids=["no_tail", "tail"])
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_non_finite_lambda(self, lam, tail):
+        # inf used to return 0.0 without a tail and raise ZeroDivisionError with one.
+        with pytest.raises(InvalidInput, match="lambda must be positive and finite"):
+            effective_dimension([1.0, 0.5], lam, tail_decay=tail, tail_from=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_eigenvalues(self, bad):
+        # A NaN eigenvalue used to give a NaN sum.
+        with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
+            effective_dimension([1.0, bad, 0.25], 1.0)

@@ -44,12 +44,8 @@ from kernelcg.harness import (
     derive_seed,
     fit_loglog_slope,
     fit_replicate,
+    render_report,
     run_experiment,
-    summary_dict,
-    write_compare_csv,
-    write_plot_tsv,
-    write_rows_csv,
-    write_summary_json,
     write_text_atomic,
     _median,
     _quantile,
@@ -278,6 +274,18 @@ class TestFitLoglogSlope:
         with pytest.raises(InvalidInput):
             fit_loglog_slope([10], [1.0])
 
+    @pytest.mark.parametrize("ns", [[0, 1, 2], [-4, 8, 16], [4, np.nan, 16], [4, 8, np.inf]])
+    def test_rejects_sample_sizes_that_are_not_positive_and_finite(self, ns):
+        # n = 0 used to stop on numpy's "divide by zero in log" warning.
+        with pytest.raises(InvalidInput, match="sample sizes must be positive and finite"):
+            fit_loglog_slope(ns, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_errors(self, bad):
+        # NaN or inf used to give a NaN slope; -inf used to be clamped.
+        with pytest.raises(InvalidInput, match="errors must be finite"):
+            fit_loglog_slope([4, 8, 16], [1.0, bad, 0.5])
+
 
 # Replicate sets as the sweeps aggregate them: stop indices, squared errors
 # over many decades, and sets with ties.
@@ -305,24 +313,25 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a == b
-        assert canonical_json(summary_dict(a)) == canonical_json(summary_dict(b))
+        assert canonical_json(a.summary) == canonical_json(b.summary)
 
     def test_report_shape(self):
         cfg = inner_config(theta_list=(0.0, 0.5))
         report = run_experiment(cfg)
-        assert not report.incomplete
-        assert len(report.rows) == len(cfg.n_grid) * cfg.replicates * 2
-        assert len(report.per_point) == len(cfg.n_grid) * 2
-        assert len(report.slopes) == 2
-        by_theta = {s.theta: s for s in report.slopes}
-        assert by_theta[0.0].theoretical_exponent == pytest.approx(-0.8)
-        assert by_theta[0.5].theoretical_exponent == pytest.approx(-0.4)
-        for s in report.slopes:
-            assert s.slope_gap == pytest.approx(s.slope - s.theoretical_exponent)
+        summary = report.summary
+        assert not summary["incomplete"]
+        assert len(report.records) == len(cfg.n_grid) * cfg.replicates * 2
+        assert len(summary["per_point"]) == len(cfg.n_grid) * 2
+        assert len(summary["slopes"]) == 2
+        by_theta = {s["theta"]: s for s in summary["slopes"]}
+        assert by_theta[0.0]["theoretical_exponent"] == pytest.approx(-0.8)
+        assert by_theta[0.5]["theoretical_exponent"] == pytest.approx(-0.4)
+        for s in summary["slopes"]:
+            assert s["slope_gap"] == pytest.approx(s["slope"] - s["theoretical_exponent"])
 
     def test_stop_index_bounded_by_n(self):
         report = run_experiment(inner_config())
-        for row in report.rows:
+        for row in report.records:
             assert 0 <= row.m_hat <= row.n
             assert row.omega is not None and row.omega > 0
             assert row.seed == derive_seed(11, row.n, row.rep)
@@ -334,20 +343,20 @@ class TestRunExperiment:
             np.zeros(4), np.linspace(0.1, 0.9, 4), model, 0.0
         ).error_value ** 2
         report = run_experiment(cfg)
-        for p in report.per_point:
-            assert p.median_error <= zero_sq
+        for p in report.summary["per_point"]:
+            assert p["median_error"] <= zero_sq
 
     def test_outer_regime_runs_and_pads(self):
         report = run_experiment(outer_config())
-        assert not report.incomplete
-        assert {row.regime for row in report.rows} == {"outer"}
-        assert len(report.slopes) == 1
+        assert not report.summary["incomplete"]
+        assert {row.regime for row in report.records} == {"outer"}
+        assert len(report.summary["slopes"]) == 1
 
     def test_holdout_mode_emits_no_omega(self):
         cfg = inner_config(holdout_fraction=0.25)
         report = run_experiment(cfg)
-        assert all(row.omega is None for row in report.rows)
-        assert all(row.m_hat >= 0 for row in report.rows)
+        assert all(row.omega is None for row in report.records)
+        assert all(row.m_hat >= 0 for row in report.records)
 
     def test_noiseless_tiny_threshold_interpolates(self):
         # With exact labels and a near-zero threshold the stop lands on the
@@ -505,7 +514,7 @@ class TestCompareSolvers:
     def test_cgme_matches_or_reports_best(self):
         cfg = inner_config(n_grid=(24, 48), replicates=3)
         report = compare_solvers(cfg)
-        assert len(report.lambda_grid) == 20
+        assert len(report.summary["lambda_grid"]) == 20
         for rec in report.records:
             assert rec.cg_error >= 0
             if rec.cgme_matched:
@@ -530,37 +539,31 @@ class TestCompareSolvers:
 
 
 class TestWriters:
-    def test_csv_columns_and_provenance(self, tmp_path):
+    def test_csv_columns_and_provenance(self):
         cfg = inner_config(replicates=1)
         report = run_experiment(cfg)
-        path = tmp_path / "rates.csv"
-        write_rows_csv(report, str(path))
-        lines = path.read_text().splitlines()
+        lines = render_report(report, "rates.csv", "r.json")["rates.csv"].splitlines()
         assert lines[0].startswith("# config_hash=")
-        assert report.config_hash in lines[0]
+        assert report.summary["config_hash"] in lines[0]
         assert lines[1] == "regime,n,rep,theta,error,m_hat,omega,seed"
-        assert len(lines) == 2 + len(report.rows)
+        assert len(lines) == 2 + len(report.records)
         first = lines[2].split(",")
         assert first[0] == "inner"
         assert int(first[1]) == cfg.n_grid[0]
 
-    def test_summary_json_byte_identical(self, tmp_path):
+    def test_summary_json_byte_identical(self):
         cfg = inner_config(replicates=1)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_summary_json(run_experiment(cfg), str(p1))
-        write_summary_json(run_experiment(cfg), str(p2))
-        b1, b2 = p1.read_bytes(), p2.read_bytes()
-        assert b1 == b2
-        parsed = json.loads(b1)
+        texts = [render_report(run_experiment(cfg), "r.csv", "r.json")["r.json"] for _ in range(2)]
+        assert texts[0] == texts[1]
+        parsed = json.loads(texts[0])
         assert parsed["config_hash"] == config_hash(cfg)
         assert [s["theta"] for s in parsed["slopes"]] == [0.0]
 
-    def test_plot_tsv_theory_column(self, tmp_path):
+    def test_plot_tsv_theory_column(self):
         cfg = inner_config(theta_list=(0.0, 0.5), replicates=2)
-        report = run_experiment(cfg)
-        paths = write_plot_tsv(report, str(tmp_path))
-        assert sorted(p.split("plot_theta_")[1] for p in paths) == ["0.5.tsv", "0.tsv"]
-        lines = (tmp_path / "plot_theta_0.tsv").read_text().splitlines()
+        files = render_report(run_experiment(cfg), "r.csv", "r.json")
+        assert list(files) == ["r.csv", "r.json", "plot_theta_0.tsv", "plot_theta_0.5.tsv"]
+        lines = files["plot_theta_0.tsv"].splitlines()
         assert lines[1] == "log_n\tlog_median_error\ttheoretical_line"
         rows = [list(map(float, ln.split("\t"))) for ln in lines[2:]]
         assert len(rows) == len(cfg.n_grid)
@@ -568,12 +571,12 @@ class TestWriters:
         slope = (rows[1][2] - rows[0][2]) / (rows[1][0] - rows[0][0])
         assert slope == pytest.approx(-0.8, rel=1e-9)
 
-    def test_compare_csv_written(self, tmp_path):
+    def test_compare_csv_written(self):
         cfg = inner_config(n_grid=(24, 48), replicates=1)
         report = compare_solvers(cfg)
-        path = tmp_path / "compare.csv"
-        write_compare_csv(report, str(path))
-        lines = path.read_text().splitlines()
+        files = render_report(report, "compare.csv", "c.json")
+        assert list(files) == ["compare.csv", "c.json"]
+        lines = files["compare.csv"].splitlines()
         assert lines[1].startswith("n,rep,seed,cg_m_hat")
         assert len(lines) == 2 + len(report.records)
 

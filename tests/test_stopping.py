@@ -202,6 +202,21 @@ class TestThresholdCalibrated:
         with pytest.raises(InvalidInput):
             threshold_calibrated(p, sigma=1.0, trace_k=-1.0, n_ref=10.0)
 
+    @pytest.mark.parametrize("name", ["sigma", "trace_k", "n_ref"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_scale_inputs(self, name, value):
+        # inf used to give an infinite omega, NaN a NaN one.
+        scales = dict(sigma=1.0, trace_k=1.0, n_ref=10.0)
+        scales[name] = value
+        with pytest.raises(InvalidInput, match=f"{name} must be positive and finite"):
+            threshold_calibrated(inner_params(), **scales)
+
+    @pytest.mark.parametrize("tau_prime", [-2.0, 0.0, np.nan, np.inf])
+    def test_params_reject_tau_prime_that_is_not_positive_and_finite(self, tau_prime):
+        # -2.0 used to give a negative calibrated omega, NaN a NaN one.
+        with pytest.raises(InvalidInput, match="tau_prime must be positive and finite"):
+            inner_params(tau_prime=tau_prime)
+
 
 class FakeTrace:
     """Minimal stand-in carrying just what discrepancy_stop reads."""
@@ -321,6 +336,16 @@ class TestHoldoutSelect:
         if fortran:
             preds = np.asfortranarray(preds)
         assert holdout_select(preds, val_y, M_clip=1.0) == int(np.argmin(reference))
+
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    def test_rejects_non_finite_losses(self, bad_row):
+        # A NaN prediction row used to win as index 0.
+        preds = np.array([[0.0, 0.5], [1.0, 1.0], [0.2, 0.1]])
+        preds[bad_row, 1] = np.nan
+        with pytest.raises(InvalidInput, match="losses must be finite; iterate"):
+            holdout_select(preds, [0.0, 1.0], M_clip=2.0)
+        with pytest.raises(InvalidInput, match="losses must be finite; iterate"):
+            holdout_select(np.zeros((3, 2)), [0.0, np.inf], M_clip=2.0)
 
     def test_rejects_empty_validation(self):
         with pytest.raises(InvalidInput, match="non-empty"):

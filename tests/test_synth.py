@@ -111,6 +111,12 @@ class TestEvalTarget:
         with pytest.raises(InvalidInput):
             eval_target(model, [-0.1, 0.5])
 
+    @pytest.mark.parametrize("x", [np.nan, [0.2, np.nan, 0.7], [np.nan, 1.5]])
+    def test_rejects_nan_points(self, x):
+        # NaN used to pass the range check and come back as a NaN value.
+        with pytest.raises(InvalidInput, match="must lie in"):
+            eval_target(small_model(), x)
+
     def test_scalar_in_scalar_out(self):
         model = small_model()
         out = eval_target(model, 0.25)
