@@ -20,12 +20,13 @@ from .harness import (
     compare_solvers,
     config_hash,
     derive_seed,
+    draw_replicate,
     fit_replicate,
     render_report,
     run_experiment,
     write_text_atomic,
 )
-from .synth import draw_sample, model_to_dict, sample_to_dict
+from .synth import model_to_dict, sample_to_dict
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 1
@@ -82,7 +83,6 @@ def _effective_config(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     if args.subcommand == "holdout" and cfg.holdout_fraction is None:
         cfg = dataclasses.replace(cfg, holdout_fraction=0.2)
-    cfg.model()  # every subcommand builds it: reject a bad model before --out exists
     return cfg
 
 
@@ -138,9 +138,8 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_fit(args, cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    fit = fit_replicate(cfg, model, cfg.n_grid[0], 0)
-    errors = {repr(theta): fit.squared_error(model, theta) for theta in cfg.theta_list}
+    fit = fit_replicate(cfg, cfg.n_grid[0], 0)
+    errors = {repr(theta): fit.squared_error(theta) for theta in cfg.theta_list}
     payload = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
@@ -162,13 +161,8 @@ def _cmd_fit(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    outer = cfg.regime == "outer"
     n0 = cfg.n_grid[0]
-    samples = []
-    for rep in range(cfg.replicates):
-        seed = derive_seed(cfg.master_seed, n0, rep)
-        samples.append(sample_to_dict(draw_sample(model, n0, unlabeled=outer, seed=seed)))
+    samples = [sample_to_dict(draw_replicate(cfg, n0, rep)) for rep in range(cfg.replicates)]
     manifest = {
         str(n): [derive_seed(cfg.master_seed, n, rep) for rep in range(cfg.replicates)]
         for n in cfg.n_grid
@@ -176,7 +170,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     payload = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
-        "model": model_to_dict(model),
+        "model": model_to_dict(cfg.model()),
         "n": int(n0),
         "samples": samples,
         "seed_manifest": manifest,

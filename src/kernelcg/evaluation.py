@@ -127,8 +127,8 @@ def effective_dimension(
     xi = np.asarray(eigenvalues, dtype=float).ravel()
     if xi.size == 0:
         raise InvalidInput("eigenvalues must be non-empty")
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInput("eigenvalues must be finite")
+    if not np.all((xi >= 0.0) & (xi < np.inf)):  # NaN fails both
+        raise InvalidInput("eigenvalues must be finite and nonnegative")
     truncated = math.fsum((xi / (xi + lam)).tolist())
     tail = 0.0
     if tail_decay is not None:

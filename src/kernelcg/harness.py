@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, spectral_error
-from .solvers import CgTrace, GramSystem, gram_fit, ridge_path
+from .kernels import GramSystem
+from .solvers import CgTrace, gram_fit, ridge_path
 from .stopping import (
     TAU_PRIME_FLOOR_INNER,
     TAU_PRIME_FLOOR_OUTER,
@@ -35,12 +37,13 @@ from .stopping import (
     threshold_outer,
 )
 from .synth import (
+    GaussianBernstein,
     MercerModel,
     NoiseSpec,
-    _finite,
+    Sample,
+    UniformBounded,
     draw_sample,
     make_model,
-    noise_from_dict,
     noise_to_dict,
 )
 
@@ -69,7 +72,8 @@ class ExperimentConfig:
     model parameters nested under "model" and the hold-out fraction under
     "stopping". ``__post_init__`` reads and checks every field, whether the
     config comes from ``from_dict`` or this constructor; a bad value is an
-    InvalidInput naming its JSON path. ``r`` decides the regime.
+    InvalidInput naming its JSON path. Last it builds the model (``make_model``
+    checks it), so a config that loads runs. ``r`` decides the regime.
     """
 
     s: float
@@ -86,6 +90,7 @@ class ExperimentConfig:
     holdout_fraction: float | None = None  # None: the discrepancy rule
     threshold: str = "calibrated"
     u_profile: str | int = "inverse_index"
+    _model: MercerModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, (path, read) in _READERS.items():
@@ -151,6 +156,8 @@ class ExperimentConfig:
             raise InvalidInput(
                 f"literal threshold requires tau_prime > {floor:g}, got {self.tau_prime}"
             )
+        model = make_model(self.s, self.r, self.rho, self.J, self.noise, self.u_profile)
+        object.__setattr__(self, "_model", model)
 
     @property
     def regime(self) -> str:
@@ -158,14 +165,8 @@ class ExperimentConfig:
         return _regime(self.r)
 
     def model(self) -> MercerModel:
-        return make_model(
-            s=self.s,
-            r=self.r,
-            rho=self.rho,
-            truncation=self.J,
-            noise=self.noise,
-            u_profile=self.u_profile,
-        )
+        """The model every replicate of this config draws from, built once."""
+        return self._model
 
     def to_dict(self) -> dict:
         model: dict = {
@@ -281,7 +282,24 @@ def _integer(value) -> int:
     return int(value)
 
 
-#: JSON path and reader of each number field, in field order.
+def _finite(value) -> float:
+    """A JSON number as a float; booleans, strings, Infinity and NaN are refused."""
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
+
+
+def noise_from_dict(d: dict) -> NoiseSpec:
+    """The noise law of a config's ``model.noise`` object: its kind and bound M."""
+    kind = d.get("kind")
+    law = {"uniform_bounded": UniformBounded, "gaussian_bernstein": GaussianBernstein}
+    if kind not in law:
+        raise InvalidInput(f"unknown noise kind {kind!r}")
+    _check_keys(d, "model.noise", {"kind", "M"}, set())
+    return law[kind](M=_finite(d["M"]))
+
+
+#: JSON path and reader of each field that holds numbers, in field order.
 _READERS = dict(
     s=("model.s", _finite),
     r=("model.r", _finite),
@@ -294,6 +312,7 @@ _READERS = dict(
     theta_list=("theta_list", lambda v: tuple(map(_finite, v))),
     master_seed=("master_seed", _integer),
     holdout_fraction=("stopping.fraction", lambda v: None if v is None else _finite(v)),
+    u_profile=("model.u_profile", lambda v: v if v == "inverse_index" else _integer(v)),
 )
 
 
@@ -386,19 +405,13 @@ def fit_loglog_slope(ns, errors) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=resid)
 
 
-def _threshold_for(cfg: ExperimentConfig, model, n: int) -> float:
+def _threshold_for(cfg: ExperimentConfig, n: int) -> float:
+    model = cfg.model()
     n_ref = float(np.exp(np.mean(np.log(np.asarray(cfg.n_grid, dtype=float)))))
     trace_k = float(np.sum(model.eigenvalues))
     params = ThresholdParams(
-        M=model.noise.M,
-        kappa=model.kappa,
-        D=model.ed_constant,
-        n=n,
-        gamma=cfg.gamma,
-        r=model.r,
-        s=model.s,
-        tau_prime=cfg.tau_prime,
-        rho=model.rho,
+        M=model.noise.M, kappa=model.kappa, D=model.ed_constant, n=n, gamma=cfg.gamma,
+        r=model.r, s=model.s, tau_prime=cfg.tau_prime, rho=model.rho,
     )
     if cfg.threshold == "calibrated":
         return threshold_calibrated(params, model.noise_std, trace_k, n_ref).omega
@@ -414,7 +427,7 @@ def _squared_error(spectrum, model: MercerModel, theta: float) -> float:
 
 @dataclass(frozen=True)
 class ReplicateFit:
-    """One seeded replicate: its design, CG trace, stop index and stopped estimator.
+    """One seeded replicate of ``model``: its design, CG trace, stop index and stopped estimator.
 
     ``points``, ``y`` and ``system`` are what CG ran on: labeled plus
     unlabeled points with padded responses in the outer regime, only the
@@ -426,6 +439,7 @@ class ReplicateFit:
     ``omega`` is the discrepancy threshold, None under hold-out stopping.
     """
 
+    model: MercerModel
     n: int
     rep: int
     seed: int
@@ -437,13 +451,20 @@ class ReplicateFit:
     omega: float | None
     spectrum: np.ndarray
 
-    def squared_error(self, model: MercerModel, theta: float) -> float:
+    def squared_error(self, theta: float) -> float:
         """Squared theta-norm distance of the stopped estimator from the target."""
-        return _squared_error(self.spectrum, model, theta)
+        return _squared_error(self.spectrum, self.model, theta)
 
 
-def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -> ReplicateFit:
-    """Draw replicate ``rep`` at sample size ``n``, run CG and stop it.
+def draw_replicate(cfg: ExperimentConfig, n: int, rep: int) -> Sample:
+    """Replicate ``rep`` of ``cfg.model()`` at sample size ``n``, seeded by ``derive_seed``;
+    in the outer regime it adds the unlabeled points of the padded design."""
+    seed = derive_seed(cfg.master_seed, n, rep)
+    return draw_sample(cfg.model(), n, unlabeled=cfg.regime == "outer", seed=seed)
+
+
+def fit_replicate(cfg: ExperimentConfig, n: int, rep: int) -> ReplicateFit:
+    """Draw replicate ``rep`` at sample size ``n`` (``draw_replicate``), run CG and stop it.
 
     ``cfg.holdout_fraction`` picks the rule: None for the discrepancy
     principle, else hold-out on that share of the points. The design enters
@@ -457,10 +478,9 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
     InvalidInput when the hold-out split leaves no training data at this
     ``n``, and NumericalFailure from the solver.
     """
-    seed = derive_seed(cfg.master_seed, n, rep)
-    outer = cfg.regime == "outer"
-    sample = draw_sample(model, n, unlabeled=outer, seed=seed)
-    if outer:
+    model = cfg.model()
+    sample = draw_replicate(cfg, n, rep)
+    if cfg.regime == "outer":
         x = np.concatenate([sample.X_labeled, sample.X_unlabeled])
         y = sample.Y_padded
     else:
@@ -483,14 +503,14 @@ def fit_replicate(cfg: ExperimentConfig, model: MercerModel, n: int, rep: int) -
         predictions = model.kernel.series(x_val, trace.alphas * w)
         m_hat = holdout_select(predictions, y_val, model.noise.M)
     else:
-        omega = _threshold_for(cfg, model, n)
+        omega = _threshold_for(cfg, n)
         trace = gram_fit(system, stop=lambda m, res, c: res < omega)
         m_hat = discrepancy_stop(trace, omega)
     spectrum = w * trace.alphas[m_hat]
-    return ReplicateFit(n, rep, seed, x, y, system, trace, m_hat, omega, spectrum)
+    return ReplicateFit(model, n, rep, sample.seed, x, y, system, trace, m_hat, omega, spectrum)
 
 
-def _sweep(cfg: ExperimentConfig, model: MercerModel, records) -> tuple[list, list[str]]:
+def _sweep(cfg: ExperimentConfig, records) -> tuple[list, list[str]]:
     """Fit every replicate of the n-grid and collect the rows ``records(fit)`` returns.
 
     A replicate that fails numerically, in either call, adds a failure line
@@ -501,7 +521,7 @@ def _sweep(cfg: ExperimentConfig, model: MercerModel, records) -> tuple[list, li
     for n in cfg.n_grid:
         for rep in range(cfg.replicates):
             try:
-                rows.extend(records(fit_replicate(cfg, model, n, rep)))
+                rows.extend(records(fit_replicate(cfg, n, rep)))
             except NumericalFailure as exc:
                 failures.append(
                     f"n={n} rep={rep} seed={derive_seed(cfg.master_seed, n, rep)}: {exc}"
@@ -554,16 +574,15 @@ def run_experiment(cfg: ExperimentConfig) -> SweepReport:
     Replicates that fail numerically, and thetas left without a slope, are
     listed in ``failures``, which flags the report incomplete.
     """
-    model = cfg.model()
 
     def records(fit: ReplicateFit) -> list[RunRecord]:
         return [
-            RunRecord(cfg.regime, fit.n, fit.rep, theta, fit.squared_error(model, theta),
+            RunRecord(cfg.regime, fit.n, fit.rep, theta, fit.squared_error(theta),
                       fit.m_hat, fit.omega, fit.seed)
             for theta in cfg.theta_list
         ]
 
-    rows, failures = _sweep(cfg, model, records)
+    rows, failures = _sweep(cfg, records)
 
     per_point = []
     for n in cfg.n_grid:
@@ -641,7 +660,7 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
     lam_grid = (model.kappa * np.logspace(-6.0, 0.0, RIDGE_GRID_SIZE)).tolist()
 
     def records(fit: ReplicateFit) -> list[CompareRecord]:
-        cg_error = fit.squared_error(model, 0.0)
+        cg_error = fit.squared_error(0.0)
         scale = np.sqrt(model.eigenvalues / fit.points.size)
         sq = lambda c: _squared_error(scale * c, model, 0.0)
 
@@ -669,7 +688,7 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
             cgme_matched, ridge_lambda, ridge_error,
         )]
 
-    rows, failures = _sweep(discrepancy_cfg, model, records)
+    rows, failures = _sweep(discrepancy_cfg, records)
 
     medians = []
     for n in cfg.n_grid:

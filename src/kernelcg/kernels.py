@@ -1,25 +1,26 @@
-"""The cosine series kernel and its dense normalized kernel matrix.
+"""The cosine series kernel, its Gram system, and its dense normalized kernel matrix.
 
 ``MercerKernel`` is a truncated cosine series kernel on [0, 1] whose
 eigenvalues and eigenfunctions are known in closed form; every spectral
 computation downstream relies on them.
 
-Every replicate sees the kernel through the (J+1) x (J+1)
-``solvers.GramSystem``. ``KernelMatrix`` is the dense reference that checks
-it: a caller forms the entries k(X_i, X_j) / n from ``MercerKernel.gram``
-and runs ``solvers.cg_fit`` and ``solvers.krylov_oracle`` on them. The Gram
-system, the target values and the hold-out predictions need the design
-only through sums of cos(l pi x_i), which ``_cosine_blocks`` supplies a block
-of points at a time, so a replicate never holds the n x (J+1) basis.
+Every replicate sees the kernel through the (J+1) x (J+1) ``GramSystem``.
+``KernelMatrix`` is the dense reference that checks it: a caller forms the
+entries k(X_i, X_j) / n from ``MercerKernel.gram`` and runs ``solvers.cg_fit``
+and ``solvers.krylov_oracle`` on them. ``GramSystem.from_design``, the target
+values and the hold-out predictions need the design only through sums of
+cos(l pi x_i), which ``_cosine_blocks`` supplies a block of points at a time,
+so a replicate never holds the n x (J+1) basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput
 
@@ -180,6 +181,95 @@ class MercerKernel:
 
 
 @dataclass(frozen=True)
+class GramSystem:
+    """Kernel CG's system in the column space of a factor B, K = B B.T.
+
+    Fields
+    ------
+    G : ndarray, shape (modes, modes)
+        Gram matrix B.T @ B.
+    b : ndarray, shape (modes,)
+        Projected response B.T @ Y.
+    yy : float
+        Y @ Y, finite and nonnegative, which the Euclidean residual needs
+        besides G and b.
+    n : int
+        Number of rows of B, a positive integer; residual norms are
+        rescaled by it, as in ``cg_fit``.
+
+    G and b are copied and frozen on construction; ``copy=False`` freezes
+    them in place instead, for arrays that nothing else holds.
+    """
+
+    G: np.ndarray
+    b: np.ndarray
+    yy: float
+    n: int
+    copy: InitVar[bool] = True
+
+    def __post_init__(self, copy):
+        as_array = np.array if copy else np.asarray
+        G = as_array(self.G, dtype=float)
+        b = as_array(self.b, dtype=float).ravel()
+        if G.ndim != 2 or G.shape != (b.size, b.size):
+            raise InvalidInput(
+                f"G must be square with one row per entry of b, got {G.shape} and {b.size}"
+            )
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        if not 0.0 <= self.yy < math.inf:  # NaN fails both
+            raise InvalidInput(f"yy must be finite and nonnegative, got {self.yy!r}")
+        G.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "b", b)
+
+    @classmethod
+    def from_design(cls, kernel: MercerKernel, points, Y) -> "GramSystem":
+        """System of the cosine kernel's normalized matrix at ``points``, without its basis.
+
+        With Phi the eigenfunction matrix at the n points and w = sqrt(xi / n),
+        the factor is B = Phi * w, so G = (Phi.T Phi) * w w.T and
+        b = w * (Phi.T Y). As 2 cos(j pi x) cos(k pi x) =
+        cos((j - k) pi x) + cos((j + k) pi x), Phi.T Phi is a Toeplitz plus a
+        Hankel matrix in S_l = sum_i cos(l pi x_i), l = 0..2J, with sqrt(2) S_k
+        on the constant mode's row and column, and Phi.T Y needs
+        P_j = sum_i y_i cos(j pi x_i). These moments and Y.Y are summed over
+        blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order: memory is
+        O(COSINE_BLOCK_ROWS * sqrt(J) + J^2), and the sums do not depend on
+        the BLAS thread count. An entry of G is accurate to rounding on the
+        scale sqrt(xi_j xi_k), its mean over uniform designs.
+        """
+        x = np.asarray(points, dtype=float).ravel()
+        y = np.asarray(Y, dtype=float).ravel()
+        if y.size < 1 or x.size != y.size:
+            raise InvalidInput(f"{x.size} points do not match {y.size} responses")
+        J = kernel.truncation
+        S = P = yy = 0.0
+        for start, za, zk in _cosine_blocks(x, 2 * J):
+            yc = y[start : start + za.shape[1]]
+            # P needs l <= J, which block rows a <= J // width hold.
+            za_p = za[: J // len(zk) + 1]
+            zk = zk.view(float).T
+            S = S + za.view(float) @ zk
+            za_p *= yc
+            P = P + za_p.view(float) @ zk
+            yy += float(yc @ yc)
+        S = S.ravel()[: 2 * J + 1]
+        P = P.ravel()[: J + 1]
+        toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
+        G = toeplitz + sliding_window_view(S, J + 1)
+        G[0] = np.sqrt(2.0) * S[: J + 1]
+        G[:, 0] = G[0]
+        G[0, 0] = S[0]
+        w = np.sqrt(kernel.eigenvalues() / y.size)
+        G *= np.outer(w, w)
+        phi_y = np.sqrt(2.0) * P
+        phi_y[0] = P[0]
+        return cls(G=G, b=w * phi_y, yy=yy, n=y.size, copy=False)
+
+
+@dataclass(frozen=True)
 class KernelMatrix:
     """Normalized kernel matrix with entries k(X_i, X_j) / n, stored densely.
 
@@ -217,4 +307,3 @@ class KernelMatrix:
         # krylov_oracle iterates about 1e-8 off at m = 32.
         lam, q = np.linalg.eigh(self.entries)
         return np.sqrt(np.clip(lam, 0.0, None))[:, None] * q.T
-

@@ -18,11 +18,11 @@ so late iterates do not depend on rounding.
 For a finite-rank kernel K = B B.T every residual, error and prediction
 depends on alpha only through c = B.T alpha, and alpha lies in K_m(K, Y)
 exactly when c lies in K_m(G, b), with G = B.T B and b = B.T Y
-(``GramSystem``). The kernel-norm residual is |b - G c|, power 0 on G. The
-squared Euclidean one, Y.Y - 2 b.c + c.G c, differs by a constant from the
-squared power -1 norm of b - G c (G inverted on its range, which holds the
-Krylov space). So
-``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
+(``kernels.GramSystem``, which builds the cosine kernel's system from its
+design). The kernel-norm residual is |b - G c|, power 0 on G. The squared
+Euclidean one, Y.Y - 2 b.c + c.G c, differs by a constant from the squared
+power -1 norm of b - G c (G inverted on its range, which holds the Krylov
+space). So ``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
 ``ridge_path`` solves a whole penalty grid from one eigendecomposition: of
 G, or of the n x n kernel matrix K = B B.T when the caller passes a factor B
 with fewer rows n than modes.
@@ -35,14 +35,13 @@ that the tests and the benchmark's output check hold ``gram_fit`` to.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, NumericalFailure
-from .kernels import KernelMatrix, MercerKernel, _cosine_blocks
+from .kernels import GramSystem, KernelMatrix
 
 Mode = Literal["kn_norm", "euclidean"]
 
@@ -96,92 +95,6 @@ def _check_system(K: KernelMatrix, Y) -> np.ndarray:
     if y.size != K.n:
         raise InvalidInput(f"dimension mismatch: Y has {y.size}, matrix has {K.n}")
     return y
-
-
-@dataclass(frozen=True)
-class GramSystem:
-    """Kernel CG's system in the column space of a factor B, K = B B.T.
-
-    Fields
-    ------
-    G : ndarray, shape (modes, modes)
-        Gram matrix B.T @ B.
-    b : ndarray, shape (modes,)
-        Projected response B.T @ Y.
-    yy : float
-        Y @ Y, which the Euclidean residual needs besides G and b.
-    n : int
-        Number of rows of B; residual norms are rescaled by it, as in
-        ``cg_fit``.
-
-    G and b are copied and frozen on construction; ``copy=False`` freezes
-    them in place instead, for arrays that nothing else holds.
-    """
-
-    G: np.ndarray
-    b: np.ndarray
-    yy: float
-    n: int
-    copy: InitVar[bool] = True
-
-    def __post_init__(self, copy):
-        as_array = np.array if copy else np.asarray
-        G = as_array(self.G, dtype=float)
-        b = as_array(self.b, dtype=float).ravel()
-        if G.ndim != 2 or G.shape != (b.size, b.size):
-            raise InvalidInput(
-                f"G must be square with one row per entry of b, got {G.shape} and {b.size}"
-            )
-        if self.n < 1:
-            raise InvalidInput(f"n must be positive, got {self.n}")
-        G.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_design(cls, kernel: MercerKernel, points, Y) -> "GramSystem":
-        """System of the cosine kernel's normalized matrix at ``points``, without its basis.
-
-        With Phi the eigenfunction matrix at the n points and w = sqrt(xi / n),
-        the factor is B = Phi * w, so G = (Phi.T Phi) * w w.T and
-        b = w * (Phi.T Y). As 2 cos(j pi x) cos(k pi x) =
-        cos((j - k) pi x) + cos((j + k) pi x), Phi.T Phi is a Toeplitz plus a
-        Hankel matrix in S_l = sum_i cos(l pi x_i), l = 0..2J, with sqrt(2) S_k
-        on the constant mode's row and column, and Phi.T Y needs
-        P_j = sum_i y_i cos(j pi x_i). These moments and Y.Y are summed over
-        blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order: memory is
-        O(COSINE_BLOCK_ROWS * sqrt(J) + J^2), and the sums do not depend on
-        the BLAS thread count. An entry of G is accurate to rounding on the
-        scale sqrt(xi_j xi_k), its mean over uniform designs.
-        """
-        x = np.asarray(points, dtype=float).ravel()
-        y = np.asarray(Y, dtype=float).ravel()
-        if y.size < 1 or x.size != y.size:
-            raise InvalidInput(f"{x.size} points do not match {y.size} responses")
-        J = kernel.truncation
-        S = P = yy = 0.0
-        for start, za, zk in _cosine_blocks(x, 2 * J):
-            yc = y[start : start + za.shape[1]]
-            # P needs l <= J, which block rows a <= J // width hold.
-            za_p = za[: J // len(zk) + 1]
-            zk = zk.view(float).T
-            S = S + za.view(float) @ zk
-            za_p *= yc
-            P = P + za_p.view(float) @ zk
-            yy += float(yc @ yc)
-        S = S.ravel()[: 2 * J + 1]
-        P = P.ravel()[: J + 1]
-        toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
-        G = toeplitz + sliding_window_view(S, J + 1)
-        G[0] = np.sqrt(2.0) * S[: J + 1]
-        G[:, 0] = G[0]
-        G[0, 0] = S[0]
-        w = np.sqrt(kernel.eigenvalues() / y.size)
-        G *= np.outer(w, w)
-        phi_y = np.sqrt(2.0) * P
-        phi_y[0] = P[0]
-        return cls(G=G, b=w * phi_y, yy=yy, n=y.size, copy=False)
 
 
 def _check_mode(mode: str) -> None:

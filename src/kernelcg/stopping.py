@@ -247,6 +247,8 @@ def holdout_select(predictions, val_labels, M_clip: float) -> int:
         raise InvalidInput(
             f"predictions of shape {preds.shape} do not fit {val_y.size} validation labels"
         )
+    if len(preds) == 0:
+        raise InvalidInput("predictions must hold at least one candidate iterate")
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
     # Row by row, so temporaries are validation-sized; each loss is the same

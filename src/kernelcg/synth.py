@@ -257,10 +257,12 @@ def draw_sample(
 
     Draw order is fixed: labeled design points first, then unlabeled design
     points (when requested), then noise. The generator is counter-based, so
-    any integer seed reproduces the sample bit-exactly.
+    any nonnegative integer seed reproduces the sample bit-exactly.
     """
-    if n < 1:
-        raise InvalidInput(f"n must be at least 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
 
     x = rng.random(n)
@@ -316,22 +318,6 @@ def eval_target(model: MercerModel, x):
 def noise_to_dict(noise: NoiseSpec) -> dict:
     kind = "uniform_bounded" if isinstance(noise, UniformBounded) else "gaussian_bernstein"
     return {"kind": kind, "M": noise.M}
-
-
-def _finite(value) -> float:
-    """A JSON number as a float; booleans, strings, Infinity and NaN are refused."""
-    if isinstance(value, (bool, str)) or not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return float(value)
-
-
-def noise_from_dict(d: dict) -> NoiseSpec:
-    kind = d.get("kind")
-    if kind == "uniform_bounded":
-        return UniformBounded(M=_finite(d["M"]))
-    if kind == "gaussian_bernstein":
-        return GaussianBernstein(M=_finite(d["M"]))
-    raise InvalidInput(f"unknown noise kind {kind!r}")
 
 
 def model_to_dict(model: MercerModel) -> dict:

@@ -116,6 +116,13 @@ def with_model(**overrides):
         (inner_dict(replicates=True), "replicates"),
         (inner_dict(n_grid=[16, True]), "n_grid"),
         (with_model(noise={"kind": "gaussian_bernstein", "M": True}), "model.noise"),
+        # A noise object has a known kind and no key besides kind and M.
+        (with_model(noise={"kind": "laplace", "M": 1.0}), "model.noise"),
+        (with_model(noise={"kind": "uniform_bounded", "M": 1.0, "sigma": 0.3}), "model.noise"),
+        # u_profile is "inverse_index" or a whole number, read as J is.
+        (with_model(u_profile=True), "model.u_profile"),
+        (with_model(u_profile="one_hot"), "model.u_profile"),
+        (with_model(u_profile=2.5), "model.u_profile"),
     ],
     ids=[
         "n_grid", "model.s", "replicates", "theta_list", "noise_without_M", "noise_number",
@@ -123,7 +130,8 @@ def with_model(**overrides):
         "inf_replicates", "fractional_n_grid", "fractional_replicates",
         "fractional_master_seed", "fractional_J", "string_s", "string_J",
         "string_master_seed", "string_tau_prime", "string_M", "bool_replicates",
-        "bool_n_grid", "bool_M",
+        "bool_n_grid", "bool_M", "unknown_noise_kind", "noise_extra_key", "bool_u_profile",
+        "string_u_profile", "fractional_u_profile",
     ],
 )
 def test_field_of_the_wrong_type_is_named_without_a_traceback(tmp_path, capsys, d, field):
@@ -362,6 +370,21 @@ SHIPPED_OUTER = str(Path(__file__).resolve().parents[1] / "configs" / "outer_r02
         ("rates", inner_dict(theta_list=[0.0, 0.5, 0.0]), "distinct"),
         ("rates", inner_dict(stopping={"kind": "holdout", "fraction": None}), "'fraction'"),
         ("holdout", inner_dict(stopping={"kind": "holdout", "fraction": None}), "'fraction'"),
+        # A config whose model cannot be built does not load.
+        ("rates", with_model(s=1.5), "s must lie in (0, 1)"),
+        ("rates", with_model(J=5), "truncation must be at least 10"),
+        ("rates", with_model(u_profile=999), "one-hot mode index 999"),
+        ("rates", with_model(rho=-1.0), "rho must be positive"),
+        # Out-of-range values and misshaped objects.
+        ("rates", inner_dict(n_grid=[0, 4]), "n_grid entries must be positive"),
+        ("rates", inner_dict(replicates=0), "replicates must be >= 1"),
+        ("rates", inner_dict(tau_prime=0.0), "tau_prime must be positive"),
+        ("rates", inner_dict(theta_list=[]), "theta_list must be non-empty"),
+        ("rates", inner_dict(theta_list=[0.0, 0.6]), "theta_list entries must lie in [0, 1/2]"),
+        ("rates", inner_dict(threshold="oracle"), "threshold must be 'calibrated' or 'literal'"),
+        ("rates", [inner_dict()], "config must be a JSON object"),
+        ("rates", inner_dict(model=[1.0]), "config field 'model' must be an object"),
+        ("rates", inner_dict(stopping={"kind": "oracle"}), "must have kind='holdout'"),
     ],
 )
 def test_rejected_config_leaves_no_out_directory(tmp_path, capsys, subcommand, config, message):

@@ -314,3 +314,16 @@ class TestEffectiveDimension:
         # A NaN eigenvalue used to give a NaN sum.
         with pytest.raises(InvalidInput, match="eigenvalues must be finite"):
             effective_dimension([1.0, bad, 0.25], 1.0)
+
+    def test_rejects_negative_eigenvalue(self):
+        # [-1.0] at lam = 1.0 used to divide by zero.
+        with pytest.raises(InvalidInput, match="eigenvalues must be finite and nonnegative"):
+            effective_dimension([-1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "tail_decay, tail_from, message",
+        [(2.0, 0, "tail_from must be positive"), (1.0, 3, "tail_decay must exceed 1")],
+    )
+    def test_rejects_bad_tail(self, tail_decay, tail_from, message):
+        with pytest.raises(InvalidInput, match=message):
+            effective_dimension([1.0, 0.5], 1.0, tail_decay=tail_decay, tail_from=tail_from)

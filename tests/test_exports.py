@@ -1,6 +1,7 @@
 """The package's public names, and the ones the benchmark imports.
 
-``__all__`` lists each name once, and each resolves. Every name that a
+``__all__`` lists each name once, and each resolves, and no module of the
+package imports a ``_``-prefixed name from another. Every name that a
 ``perfbench/`` script takes from kernelcg resolves too, and the output check
 ``perfbench/outcheck.py`` runs its dense reference calls on a tiny design,
 so a change to those names fails here before the benchmark's own tests run.
@@ -18,6 +19,7 @@ import pytest
 import kernelcg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(kernelcg.__file__).resolve().parent
 
 
 def test_star_import_binds_every_listed_name():
@@ -28,6 +30,22 @@ def test_star_import_binds_every_listed_name():
     missing = [name for name in names if not hasattr(kernelcg, name)]
     assert missing == []
     assert set(names) <= namespace.keys()
+
+
+def private_imports(path: Path) -> list[str]:
+    """``module.name`` for each ``_``-prefixed name a package module imports from another."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "kernelcg"
+        ):
+            out += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_another_modules_private_name(module):
+    assert private_imports(PACKAGE / module) == []
 
 
 def kernelcg_names(path: Path) -> list[tuple[str, str]]:

@@ -276,7 +276,7 @@ def test_compare_ridge_columns_match_the_gram_route():
     lam_grid = report.summary["lambda_grid"]
     assert len(report.records) == 6 and not report.summary["failures"]
     for rec in report.records:
-        fit = fit_replicate(cfg, model, rec.n, rec.rep)
+        fit = fit_replicate(cfg, rec.n, rec.rep)
         scale = np.sqrt(model.eigenvalues / rec.n)
         errs = [
             spectral_error(scale * c, model, 0.0) ** 2
@@ -388,6 +388,25 @@ def test_gram_system_is_frozen_and_validated():
 
 
 @pytest.mark.parametrize(
+    "yy, n, message",
+    [
+        (np.nan, 2, "yy must be finite and nonnegative"),
+        (np.inf, 2, "yy must be finite and nonnegative"),
+        (-5.0, 2, "yy must be finite and nonnegative"),
+        (1.0, 2.5, "n must be a positive integer"),
+        (1.0, True, "n must be a positive integer"),
+        (1.0, 0, "n must be a positive integer"),
+    ],
+)
+def test_gram_system_rejects_malformed_numbers(yy, n, message):
+    # yy=nan used to give a euclidean trace of NaN residuals, yy=-5.0 a
+    # residual of 0.0 at m = 0, and n=2.5 or n=True was stored.
+    with pytest.raises(InvalidInput, match=message):
+        GramSystem(G=np.eye(2), b=np.ones(2), yy=yy, n=n)
+    assert GramSystem(G=np.eye(2), b=np.ones(2), yy=0.0, n=np.int64(2)).n == 2
+
+
+@pytest.mark.parametrize(
     "stopping",
     ["discrepancy", {"kind": "holdout", "fraction": 0.2}],
     ids=["discrepancy", "holdout"],
@@ -399,11 +418,11 @@ def test_replicate_never_forms_an_n_by_n_array(stopping):
     cfg = ExperimentConfig.from_dict(d)
     model = cfg.model()
     n = 1500
-    fit_replicate(cfg, model, 64, 0)  # first-call imports would count as the fit's
+    fit_replicate(cfg, 64, 0)  # first-call imports would count as the fit's
     tracemalloc.start()
     try:
-        fit = fit_replicate(cfg, model, n, 0)
-        fit.squared_error(model, 0.0)
+        fit = fit_replicate(cfg, n, 0)
+        fit.squared_error(0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,7 +446,6 @@ def test_compare_allocates_no_more_than_its_weighted_fit():
     d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
     d["model"]["J"] = 40
     cfg = replace(ExperimentConfig.from_dict(d), n_grid=(1499, 1500), replicates=1)
-    model = cfg.model()
 
     def peak(run):
         tracemalloc.start()
@@ -437,7 +455,7 @@ def test_compare_allocates_no_more_than_its_weighted_fit():
         finally:
             tracemalloc.stop()
 
-    run_fit = lambda: fit_replicate(cfg, model, 1500, 0).squared_error(model, 0.0)
+    run_fit = lambda: fit_replicate(cfg, 1500, 0).squared_error(0.0)
     run_compare = lambda: compare_solvers(cfg)
     # First calls import modules (numpy.ma for compare's medians, about
     # 0.5 MB), which would count as the runs' own allocations.

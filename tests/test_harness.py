@@ -99,6 +99,47 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize(
+        "overrides", [dict(u_profile=3), dict(threshold="literal")], ids=["one_hot", "literal"]
+    )
+    def test_non_default_fields_roundtrip_and_enter_the_hash(self, overrides):
+        cfg = inner_config(**overrides)
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg and config_hash(again) == config_hash(cfg)
+        assert config_hash(cfg) != config_hash(inner_config())
+
+    def test_whole_number_u_profile_reads_as_an_int(self):
+        d = inner_config().to_dict()
+        d["model"]["u_profile"] = 3.0
+        cfg = ExperimentConfig.from_dict(d)
+        assert cfg.u_profile == 3 and type(cfg.u_profile) is int
+        assert cfg == inner_config(u_profile=3)
+
+    def test_model_is_built_once_per_config(self):
+        cfg = inner_config()
+        assert cfg.model() is cfg.model()
+        again = replace(cfg, master_seed=12)
+        assert again.model() is not cfg.model()
+        assert np.array_equal(again.model().target_coeffs, cfg.model().target_coeffs)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (dict(s=1.5), "s must lie in"),
+            (dict(J=5), "truncation must be at least 10"),
+            (dict(rho=20.0), "sup-norm"),
+            (dict(u_profile=999), "one-hot mode index"),
+            (dict(rho=-1.0), "rho must be positive"),
+        ],
+        ids=["s", "J", "uniform_M_below_sup_f", "u_profile", "rho"],
+    )
+    def test_config_whose_model_cannot_be_built_does_not_load(self, model, message):
+        # Each used to load and hash, and failed only when its model was built.
+        d = inner_config().to_dict()
+        d["model"].update(model)
+        with pytest.raises(InvalidInput, match=message):
+            ExperimentConfig.from_dict(d)
+
     def test_holdout_roundtrip(self):
         cfg = inner_config(holdout_fraction=0.2)
         d = cfg.to_dict()
@@ -384,7 +425,7 @@ class TestFitReplicate:
         cfg = inner_config(holdout_fraction=0.25, J=120)
         model = cfg.model()
         for n, rep in itertools.product((64, 128, 512), range(cfg.replicates)):
-            fit = fit_replicate(cfg, model, n, rep)
+            fit = fit_replicate(cfg, n, rep)
             assert isinstance(fit.system, GramSystem)
             sample = draw_sample(model, n, seed=fit.seed)
             n_train = fit.points.size
@@ -402,21 +443,20 @@ class TestFitReplicate:
         on the shipped configs."""
         cfg = inner_config()
         model = cfg.model()
-        fit = fit_replicate(cfg, model, 64, 1)
+        fit = fit_replicate(cfg, 64, 1)
         ref = cg_fit(dense(model.kernel, fit.points), fit.y)
         assert discrepancy_stop(ref, fit.omega) == fit.m_hat
         alpha = ref.alphas[fit.m_hat]
         for theta in (0.0, 0.5):
             err = error_norm(alpha, fit.points, model, theta).error_value
-            assert fit.squared_error(model, theta) == pytest.approx(err * err, rel=1e-10)
+            assert fit.squared_error(theta) == pytest.approx(err * err, rel=1e-10)
 
     @pytest.mark.parametrize("cfg", [inner_config(), outer_config()], ids=["inner", "outer"])
     def test_discrepancy_trace_ends_at_the_stop(self, cfg):
-        model = cfg.model()
         stops = []
         for n in cfg.n_grid:
             for rep in range(cfg.replicates):
-                fit = fit_replicate(cfg, model, n, rep)
+                fit = fit_replicate(cfg, n, rep)
                 # A breakdown ends the run at its exact minimizer, which is
                 # then the stop even when it does not beat omega.
                 assert fit.trace.m_last == fit.m_hat
@@ -429,7 +469,6 @@ class TestFitReplicate:
         """The target values, the Gram system and the hold-out predictions
         all come from cosine moments: no basis, no cross-kernel matrix."""
         cfg = inner_config(holdout_fraction=0.25)
-        model = cfg.model()
         sizes = []
         basis = MercerKernel.basis
 
@@ -442,7 +481,7 @@ class TestFitReplicate:
 
         monkeypatch.setattr(MercerKernel, "basis", counted)
         monkeypatch.setattr(MercerKernel, "gram", no_gram)
-        fit = fit_replicate(cfg, model, 64, 0)
+        fit = fit_replicate(cfg, 64, 0)
         assert sizes == []
         assert fit.points.size == 48
 
@@ -457,7 +496,7 @@ class TestFitReplicate:
     def test_literal_threshold_is_the_regime_formula(self, cfg, rule):
         model = cfg.model()
         for n in cfg.n_grid:
-            fit = fit_replicate(cfg, model, n, 0)
+            fit = fit_replicate(cfg, n, 0)
             params = ThresholdParams(
                 M=model.noise.M, kappa=model.kappa, D=model.ed_constant, n=n,
                 gamma=cfg.gamma, r=model.r, s=model.s, tau_prime=cfg.tau_prime,
@@ -465,13 +504,20 @@ class TestFitReplicate:
             )
             assert fit.omega == rule(params).omega
 
+    def test_holdout_split_is_checked_at_each_n(self):
+        # The config checks its smallest grid point; a smaller n gets the same check.
+        cfg = inner_config(holdout_fraction=0.97)
+        assert fit_replicate(cfg, 32, 0).points.size == 1
+        with pytest.raises(InvalidInput, match="leaves no training data at n=16"):
+            fit_replicate(cfg, 16, 0)
+
     def test_holdout_stop_matches_select_on_the_gram_matrix(self):
         """The Gram-space hold-out stop equals the choice among cg_fit's
         iterates on the dense matrix, predicted through the cross kernel."""
         cfg = inner_config(holdout_fraction=0.25)
         model = cfg.model()
         for rep in range(cfg.replicates):
-            fit = fit_replicate(cfg, model, 64, rep)
+            fit = fit_replicate(cfg, 64, rep)
             sample = draw_sample(model, 64, seed=fit.seed)
             n_train = fit.points.size
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
@@ -492,7 +538,7 @@ class TestCompareSolvers:
         model = cfg.model()
         report = compare_solvers(cfg)
         for rec in report.records:
-            fit = fit_replicate(cfg, model, rec.n, rec.rep)
+            fit = fit_replicate(cfg, rec.n, rec.rep)
             euclid = gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean")
             scale = np.sqrt(model.eigenvalues / fit.points.size)
             errs = [
@@ -593,3 +639,10 @@ class TestWriters:
         assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
         assert mode == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv", "plain.txt"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # Renaming a file over a directory fails after the text is written.
+        (tmp_path / "artifact.csv").mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(str(tmp_path / "artifact.csv"), "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]

@@ -111,6 +111,19 @@ class TestOperatorBuild:
         assert np.array_equal(K.entries, expected)
         assert_frozen(K.entries)
 
+    @pytest.mark.parametrize(
+        "entries, n, message",
+        [
+            (np.zeros((2, 3)), 2, "must be square"),
+            (np.zeros(4), 4, "must be square"),
+            (np.eye(3), 4, "does not match"),
+        ],
+        ids=["rectangular", "vector", "size_mismatch"],
+    )
+    def test_kernel_matrix_rejects_misshaped_entries(self, entries, n, message):
+        with pytest.raises(InvalidInput, match=message):
+            KernelMatrix(entries=entries, n=n)
+
     def test_constructors_copy_caller_arrays(self):
         rng = np.random.default_rng(6)
         entries = rng.standard_normal((4, 4))

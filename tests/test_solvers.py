@@ -84,6 +84,18 @@ class TestOracleEquivalence:
         beyond = krylov_oracle(DIAG, ONES, 6)
         assert beyond == pytest.approx(full, abs=1e-10)
 
+    def test_oracle_rejects_negative_order(self):
+        with pytest.raises(InvalidInput, match="m must be nonnegative"):
+            krylov_oracle(DIAG, ONES, -1)
+
+    @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
+    def test_oracle_stops_growing_on_an_invariant_subspace(self, mode):
+        # Y = e_1 is an eigenvector of K: K Y lies in span{Y}, so the basis
+        # stops at one column and both modes are least at Y / 2.
+        K = KernelMatrix(entries=np.diag([1.0, 2.0, 3.0]), n=3)
+        y = np.array([0.0, 1.0, 0.0])
+        assert krylov_oracle(K, y, 3, mode=mode) == pytest.approx([0.0, 0.5, 0.0], abs=1e-15)
+
     @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
     def test_full_basis_is_the_direct_solve(self, mode):
         # n Krylov vectors span R^n, where both modes are least at K^-1 Y.

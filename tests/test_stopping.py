@@ -217,6 +217,23 @@ class TestThresholdCalibrated:
         with pytest.raises(InvalidInput, match="tau_prime must be positive and finite"):
             inner_params(tau_prime=tau_prime)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("M", 0.0, "M must be positive"),
+            ("kappa", -1.0, "kappa must be positive"),
+            ("D", 0.5, "D must be at least 1"),
+            ("n", 0, "n must be a positive integer"),
+            ("gamma", 1.0, "gamma must lie in"),
+            ("r", 0.0, "r must be positive"),
+            ("s", 1.0, "s must lie in"),
+            ("rho", -1.0, "rho must be positive"),
+        ],
+    )
+    def test_params_reject_out_of_range_values(self, field, value, message):
+        with pytest.raises(InvalidInput, match=message):
+            inner_params(**{field: value})
+
 
 class FakeTrace:
     """Minimal stand-in carrying just what discrepancy_stop reads."""
@@ -271,6 +288,10 @@ class TestDiscrepancyStop:
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(InvalidInput):
             discrepancy_stop(FakeTrace([1.0]), omega=0.0)
+
+    def test_rejects_trace_without_residuals(self):
+        with pytest.raises(InvalidInput, match="no residuals"):
+            discrepancy_stop(FakeTrace([]), omega=1.0)
 
 
 class TestHoldoutSelect:
@@ -350,6 +371,16 @@ class TestHoldoutSelect:
     def test_rejects_empty_validation(self):
         with pytest.raises(InvalidInput, match="non-empty"):
             holdout_select(np.zeros((3, 0)), [], M_clip=1.0)
+
+    def test_rejects_zero_candidate_rows(self):
+        # numpy's argmin used to raise a bare ValueError on the empty loss list.
+        with pytest.raises(InvalidInput, match="at least one candidate iterate"):
+            holdout_select(np.zeros((0, 2)), [0.0, 1.0], M_clip=1.0)
+
+    @pytest.mark.parametrize("M_clip", [0.0, -1.0, np.nan])
+    def test_rejects_clip_that_is_not_positive(self, M_clip):
+        with pytest.raises(InvalidInput, match="M_clip must be positive"):
+            holdout_select(np.zeros((3, 2)), [0.0, 1.0], M_clip=M_clip)
 
     def test_rejects_mismatched_predictions(self):
         with pytest.raises(InvalidInput, match="do not fit 1 validation labels"):

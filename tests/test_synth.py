@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelcg import InvalidInput
+from kernelcg.harness import noise_from_dict
 from kernelcg.synth import (
     GaussianBernstein,
     UniformBounded,
@@ -11,7 +12,6 @@ from kernelcg.synth import (
     eval_target,
     make_model,
     model_to_dict,
-    noise_from_dict,
     padded_total,
     sample_to_dict,
 )
@@ -75,6 +75,12 @@ class TestMakeModel:
             make_model(s=0.5, r=1.0, rho=1.0, truncation=5)
         with pytest.raises(InvalidInput):
             small_model(u_profile="mystery")
+
+    @pytest.mark.parametrize("index", [-1, 201])
+    def test_one_hot_index_must_name_a_mode(self, index):
+        # truncation 200 gives 201 modes, indices 0..200.
+        with pytest.raises(InvalidInput, match="one-hot mode index"):
+            small_model(u_profile=index)
 
     def test_uniform_noise_needs_headroom(self):
         # rho large enough pushes sup|f| past M = 1
@@ -183,6 +189,22 @@ class TestDrawSample:
     def test_rejects_bad_n(self):
         with pytest.raises(InvalidInput):
             draw_sample(small_model(), 0)
+
+    @pytest.mark.parametrize("n", [2.5, True, "8", -3])
+    def test_rejects_n_that_is_not_a_positive_integer(self, n):
+        # 2.5 and True used to reach numpy as a TypeError.
+        with pytest.raises(InvalidInput, match="n must be a positive integer"):
+            draw_sample(small_model(), n)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # -1 used to reach numpy's Philox as a ValueError.
+        with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+            draw_sample(small_model(), 4, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        a = draw_sample(small_model(), np.int64(4), seed=np.uint64(7))
+        assert np.array_equal(a.X_labeled, draw_sample(small_model(), 4, seed=7).X_labeled)
 
 
 class TestSerialization:
