@@ -48,21 +48,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: One line per subcommand, listed by ``kernelcg --help``.
+_SUBCOMMAND_HELP = {
+    "fit": "fit one sample and print the stop index and residuals",
+    "simulate": "draw and persist synthetic samples",
+    "rates": "run the rate sweep and fit log-log slopes",
+    "holdout": "run the rate sweep with hold-out stopping",
+    "compare": "compare the two CG modes and ridge on shared samples",
+}
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="kernelcg", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("fit", "fit one sample and print the stop index and residuals"),
-        ("simulate", "draw and persist synthetic samples"),
-        ("rates", "run the rate sweep and fit log-log slopes"),
-        ("holdout", "run the rate sweep with hold-out stopping"),
-        ("compare", "compare the two CG modes and ridge on shared samples"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    # One flat parser: every subcommand takes the same four options, and
+    # building a subparser for each costs more than parsing them.
+    parser = _Parser(
+        prog="kernelcg",
+        description=__doc__,
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name:<10}{text}" for name, text in _SUBCOMMAND_HELP.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "subcommand", choices=_SUBCOMMAND_HELP, metavar="subcommand", help="one of those below"
+    )
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 

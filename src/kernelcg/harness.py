@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, spectral_error
 from .kernels import GramSystem
-from .solvers import CgTrace, gram_fit, ridge_path
+from .solvers import CgTrace, gram_fit, ridge_path, ridge_takes_rows
 from .stopping import (
     TAU_PRIME_FLOOR_INNER,
     TAU_PRIME_FLOOR_OUTER,
@@ -644,8 +644,9 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
     equal the rate sweep's. The plain-residual run (``gram_fit`` in
     ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
     Gram system, and their errors come from the spectra sqrt(xi / n) * c.
-    On a design of fewer points than modes the ridge grid gets the factor
-    B = basis * sqrt(xi / n), at most modes^2 entries, and decomposes the
+    Where ``ridge_takes_rows`` picks the K route (designs of fewer points
+    than 0.8 of the modes), the ridge grid gets the factor
+    B = basis * sqrt(xi / n), under modes^2 entries, and decomposes the
     smaller n x n kernel matrix.
     The plain-residual run ends at the first iteration matching the weighted
     run's accuracy (or runs its whole budget and reports its best iteration
@@ -675,7 +676,7 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
         cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
 
         rows = None
-        if fit.points.size < scale.size:
+        if ridge_takes_rows(fit.points.size, scale.size):
             B = model.kernel.basis(fit.points)
             B *= scale
             rows = (B, fit.y)

@@ -34,6 +34,10 @@ COSINE_BLOCK_ROWS = 256
 SERIES_FEW_ROWS = 8
 SERIES_TILE_ROWS = 32
 
+#: ``GramSystem.from_design`` scales G by w w.T this many rows at a time, so
+#: the outer product it multiplies by stays a small, reused block.
+GRAM_SCALE_ROWS = 32
+
 
 def _block_shape(top: int) -> tuple[int, int]:
     """(height, width) of the split l = a * width + k, for l = 0..top."""
@@ -257,13 +261,17 @@ class GramSystem:
             yy += float(yc @ yc)
         S = S.ravel()[: 2 * J + 1]
         P = P.ravel()[: J + 1]
+        # G is the only (J+1)^2 array built here: the block a previous
+        # replicate freed is reused, where each fresh one faults in new pages.
         toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
-        G = toeplitz + sliding_window_view(S, J + 1)
+        G = np.empty((J + 1, J + 1))
+        np.add(toeplitz, sliding_window_view(S, J + 1), out=G)
         G[0] = np.sqrt(2.0) * S[: J + 1]
         G[:, 0] = G[0]
         G[0, 0] = S[0]
         w = np.sqrt(kernel.eigenvalues() / y.size)
-        G *= np.outer(w, w)
+        for i in range(0, J + 1, GRAM_SCALE_ROWS):
+            G[i : i + GRAM_SCALE_ROWS] *= np.outer(w[i : i + GRAM_SCALE_ROWS], w)
         phi_y = np.sqrt(2.0) * P
         phi_y[0] = P[0]
         return cls(G=G, b=w * phi_y, yy=yy, n=y.size, copy=False)

@@ -25,7 +25,7 @@ power -1 norm of b - G c (G inverted on its range, which holds the Krylov
 space). So ``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
 ``ridge_path`` solves a whole penalty grid from one eigendecomposition: of
 G, or of the n x n kernel matrix K = B B.T when the caller passes a factor B
-with fewer rows n than modes.
+with fewer rows n than 0.8 of the modes (``ridge_takes_rows``).
 ``krylov_oracle`` solves the same minimizations by explicit basis
 construction and dense least squares; it is deliberately independent of the
 recursion so the two can check each other. No subcommand runs ``cg_fit`` or
@@ -345,6 +345,18 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     return u @ coef
 
 
+#: ``ridge_path`` decomposes K rather than G on designs of fewer points than
+#: this share of the modes. The eigendecomposition and the factor cost less
+#: than eigh(G) up to about 0.84 (J = 400) and 0.83 (J = 120) of the modes,
+#: at 1 BLAS thread.
+RIDGE_ROWS_SHARE = 0.8
+
+
+def ridge_takes_rows(n: int, modes: int) -> bool:
+    """Whether ``ridge_path`` takes the K route for n points and ``modes`` modes."""
+    return n < RIDGE_ROWS_SHARE * modes
+
+
 def ridge_path(system: GramSystem, lams, rows=None) -> np.ndarray:
     """Ridge solutions for every penalty in ``lams`` from one eigendecomposition.
 
@@ -354,10 +366,10 @@ def ridge_path(system: GramSystem, lams, rows=None) -> np.ndarray:
 
     - G = V diag(mu) V.T, (modes x modes), by default: c = V (V.T b / (mu + lam));
     - K = B B.T = U diag(nu) U.T, (n x n), when ``rows = (B, Y)`` gives the
-      factor and the responses of ``system`` and B has fewer rows than
-      columns: c = B.T U (U.T Y / (nu + lam)), all penalties in one product.
+      factor and the responses of ``system`` and ``ridge_takes_rows(n, modes)``:
+      c = B.T U (U.T Y / (nu + lam)), all penalties in one product.
 
-    With a ``rows`` factor of n >= modes rows the G route runs unchanged.
+    Otherwise the G route runs unchanged, whether or not ``rows`` is given.
     Nothing is divided by a power of mu or nu alone: near n = modes the
     spectrum of G reaches 1e-18. Returns shape (len(lams), modes).
     """
@@ -375,7 +387,7 @@ def ridge_path(system: GramSystem, lams, rows=None) -> np.ndarray:
                 f"rows of shapes {B.shape} and {y.shape} do not fit a system of "
                 f"{system.n} rows and {modes} modes"
             )
-        if system.n >= modes:
+        if not ridge_takes_rows(system.n, modes):
             rows = None
     if grid.size == 0:
         return np.empty((0, modes))

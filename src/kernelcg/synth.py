@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -115,6 +116,11 @@ class MercerModel:
 
     def identifier(self) -> str:
         """Short content hash used to tie samples back to their model."""
+        return self._identifier
+
+    @cached_property
+    def _identifier(self) -> str:
+        # Computed on first use and kept: every draw stamps it on its sample.
         payload = json.dumps(model_to_dict(self), sort_keys=True)
         return "mercer-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -4,13 +4,18 @@
 (``perfbench/outcheck.py``) does, and ``quad`` is that matrix's weighted
 inner product. ``factor`` and ``from_basis`` form the factor B and the Gram
 system from the basis matrix, the reference for ``GramSystem.from_design``.
+``from_moments`` is ``from_design`` as it was before it built G in place:
+the same moments, with G scaled by one full outer product, bit for bit the
+same system.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kernelcg import GramSystem, KernelMatrix, MercerKernel
+from kernelcg.kernels import _cosine_blocks
 
 
 def dense(kernel: MercerKernel, x) -> KernelMatrix:
@@ -41,3 +46,31 @@ def from_basis(kernel: MercerKernel, x, y) -> GramSystem:
     G = phi.T @ phi
     G *= np.outer(w, w)
     return GramSystem(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
+
+
+def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
+    """The cosine-moment build with G = toeplitz + hankel, then G *= outer(w, w)."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    J = kernel.truncation
+    S = P = yy = 0.0
+    for start, za, zk in _cosine_blocks(x, 2 * J):
+        yc = y[start : start + za.shape[1]]
+        za_p = za[: J // len(zk) + 1]
+        zk = zk.view(float).T
+        S = S + za.view(float) @ zk
+        za_p *= yc
+        P = P + za_p.view(float) @ zk
+        yy += float(yc @ yc)
+    S = S.ravel()[: 2 * J + 1]
+    P = P.ravel()[: J + 1]
+    toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
+    G = toeplitz + sliding_window_view(S, J + 1)
+    G[0] = np.sqrt(2.0) * S[: J + 1]
+    G[:, 0] = G[0]
+    G[0, 0] = S[0]
+    w = np.sqrt(kernel.eigenvalues() / y.size)
+    G *= np.outer(w, w)
+    phi_y = np.sqrt(2.0) * P
+    phi_y[0] = P[0]
+    return GramSystem(G=G, b=w * phi_y, yy=yy, n=y.size)

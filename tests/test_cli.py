@@ -168,6 +168,23 @@ def test_usage_errors_exit_one_not_two(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in cli._SUBCOMMAND_HELP.items():
+        assert name in out and text in out
+    assert set(cli._SUBCOMMAND_HELP) == set(cli._COMMANDS)
+
+
+def test_options_parse_in_any_order():
+    args = cli._build_parser().parse_args(["--out", "o", "holdout", "--seed", "7", "--config", "c"])
+    assert (args.subcommand, args.config, args.out, args.seed, args.quiet) == (
+        "holdout", "c", "o", 7, False
+    )
+
+
 def test_fit_matches_direct_library_call(tmp_path, capsys):
     cfg_path = write_config(tmp_path, inner_dict())
     out = tmp_path / "out"

@@ -13,6 +13,7 @@ are uniform draws, spectra those of the shipped configs.
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,8 @@ from kernelcg import (
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 from kernelcg.kernels import COSINE_BLOCK_ROWS
-from reference import dense, factor, from_basis, quad
+from kernelcg.solvers import RIDGE_ROWS_SHARE, ridge_takes_rows
+from reference import dense, factor, from_basis, from_moments, quad
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -224,8 +226,8 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     modes = model.eigenvalues.size
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, modes)) if wide else int(rng.integers(modes + 1, modes + 200))
-    # Given the factor, a wide design decomposes K instead of G; a tall one
-    # keeps the G route bit for bit.
+    # Given the factor, a design of fewer points than 0.8 of the modes
+    # decomposes K instead of G; a larger one keeps the G route bit for bit.
     x, y = draw(n, seed, model)
     K = dense(model.kernel, x)
     B = factor(x, model)
@@ -233,7 +235,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     system = gram_system(x, y, model)
     path = ridge_path(system, lams)
     by_rows = ridge_path(system, lams, (B, y))
-    if not wide:
+    if not ridge_takes_rows(n, modes):
         assert np.array_equal(by_rows, path)
     for p in (path, by_rows):
         assert p.shape == (lams.size, modes)
@@ -243,6 +245,32 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
         assert rel(c, direct) <= 1e-8, lam
         assert rel(c_rows, direct) <= 1e-8, lam
         assert rel(c_rows, c) <= 1e-8, lam
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["k_route", "g_route"])
+@pytest.mark.parametrize("name", ["inner_small", "inner_r1_s05"])
+def test_ridge_routes_agree_on_both_sides_of_the_cutoff(name, side):
+    # The route switches at 0.8 of the modes (97 of 121, 321 of 401), below
+    # the measured crossover of their costs. On either side the path is the
+    # dense solve to rounding: 6e-11 relative, where G's null space meets
+    # the smallest penalty.
+    model = SHIPPED[name]
+    modes = model.eigenvalues.size
+    n = math.ceil(RIDGE_ROWS_SHARE * modes) + side
+    assert ridge_takes_rows(n, modes) == (side < 0)
+    lams = model.kappa * np.logspace(-6.0, 0.0, 20)
+    for seed in range(3):
+        x, y = draw(n, seed, model)
+        B = factor(x, model)
+        system = gram_system(x, y, model)
+        path = ridge_path(system, lams)
+        by_rows = ridge_path(system, lams, (B, y))
+        assert np.array_equal(by_rows, path) == (side == 0)
+        K = dense(model.kernel, x).entries
+        for lam, c, c_rows in zip(lams, path, by_rows):
+            direct = B.T @ np.linalg.solve(K + lam * np.eye(n), y)
+            assert rel(c_rows, c) <= 1e-9, lam
+            assert rel(c_rows, direct) <= 1e-9, lam
 
 
 @pytest.mark.parametrize("n", [5, 130], ids=["wide", "tall"])
@@ -266,15 +294,16 @@ def test_ridge_path_grid_edge_cases(n):
 
 
 def test_compare_ridge_columns_match_the_gram_route():
-    # n_grid straddles the 41 modes: 24 and 40 points take the K route, 48 the
-    # G route. Each record must equal the G route's best penalty and error.
+    # n_grid straddles the route's cutoff at 0.8 of the 41 modes: 24 and 32
+    # points take the K route, 40 and 48 the G route. Each record must equal
+    # the G route's best penalty and error.
     d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
     d["model"]["J"] = 40
-    cfg = replace(ExperimentConfig.from_dict(d), n_grid=(24, 40, 48), replicates=2)
+    cfg = replace(ExperimentConfig.from_dict(d), n_grid=(24, 32, 40, 48), replicates=2)
     model = cfg.model()
     report = compare_solvers(cfg)
     lam_grid = report.summary["lambda_grid"]
-    assert len(report.records) == 6 and not report.summary["failures"]
+    assert len(report.records) == 8 and not report.summary["failures"]
     for rec in report.records:
         fit = fit_replicate(cfg, rec.n, rec.rep)
         scale = np.sqrt(model.eigenvalues / rec.n)
@@ -325,6 +354,34 @@ def assert_matches_basis(kernel: MercerKernel, x, y) -> None:
 @given(st.sampled_from(sorted(KERNELS)), designs)
 def test_gram_system_from_design_matches_the_basis_entry_by_entry(J, design):
     assert_matches_basis(KERNELS[J], *edge_design(*design))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([40, 400]), designs)
+def test_gram_system_from_design_is_the_outer_product_build_bit_for_bit(J, design):
+    # G is built in place and scaled by w w.T a block of rows at a time; each
+    # entry gets the float operations of one full outer product.
+    x, y = edge_design(*design)
+    fast, ref = GramSystem.from_design(KERNELS[J], x, y), from_moments(KERNELS[J], x, y)
+    assert np.array_equal(fast.G, ref.G)
+    assert np.array_equal(fast.b, ref.b)
+    assert fast.yy == ref.yy
+
+
+def test_gram_system_from_design_allocates_one_gram_matrix():
+    # G is the only (J+1)^2 array of the build: with the Toeplitz + Hankel sum
+    # and the full outer product w w.T as temporaries the peak measured 2.30
+    # times G's bytes at J = 400, n = 4096; built in place, 1.38.
+    kernel = KERNELS[400]
+    x, y = edge_design(4096, 4096, 0)
+    GramSystem.from_design(kernel, x[:8], y[:8])  # first-call set-up is not the build's
+    tracemalloc.start()
+    try:
+        GramSystem.from_design(kernel, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 401**2 * 8, peak / (401**2 * 8)
 
 
 # The moments are summed a block of COSINE_BLOCK_ROWS points at a time; a

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from kernelcg import InvalidInput
+from kernelcg import InvalidInput, synth
 from kernelcg.harness import noise_from_dict
 from kernelcg.synth import (
     GaussianBernstein,
@@ -219,6 +221,21 @@ class TestSerialization:
         assert np.array_equal(again.target_coeffs, model.target_coeffs)
         assert again.identifier() == model.identifier()
 
+    def test_identifier_is_computed_once_per_model(self, monkeypatch):
+        # Every draw stamps the identifier; the hash of the model's dict is
+        # taken on first use and kept, and samples carry the same reference.
+        model = small_model(truncation=60)
+        payload = json.dumps(model_to_dict(model), sort_keys=True)
+        expected = "mercer-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
+        assert draw_sample(model, 4, seed=1).model_ref == expected
+
+        def fail(_model):
+            raise AssertionError("identifier recomputed")
+
+        monkeypatch.setattr(synth, "model_to_dict", fail)
+        assert draw_sample(model, 4, seed=2).model_ref == expected
+        assert model.identifier() == expected
+
     def test_model_dict_keys(self):
         # Generating parameters and derived scalars, nothing else.
         assert set(model_to_dict(small_model())) == {
@@ -228,8 +245,6 @@ class TestSerialization:
 
     def test_sample_roundtrip(self):
         # JSON keeps every float of a sample bit for bit.
-        import json
-
         sample = draw_sample(small_model(), 20, unlabeled=False, seed=42)
         again = json.loads(json.dumps(sample_to_dict(sample)))
         assert np.array_equal(again["X_labeled"], sample.X_labeled)
@@ -238,8 +253,6 @@ class TestSerialization:
         assert again["rng"] == "numpy-philox-4x64"
 
     def test_dict_is_json_ready(self):
-        import json
-
         model = small_model()
         s = json.dumps(model_to_dict(model), sort_keys=True)
         assert "uniform_bounded" in s
