@@ -8,7 +8,6 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -78,7 +77,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _effective_config(args) -> ExperimentConfig:
+    """The config file with ``--seed`` and the hold-out default written in,
+    loaded once, so the model is built once."""
+    path = args.config
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -86,16 +88,14 @@ def _load_config(path: str) -> ExperimentConfig:
         raise InvalidInput(f"config file {path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"config file {path} cannot be read: {exc}") from exc
+    if isinstance(raw, dict):
+        # A missing key stays missing, so it is refused as without the override.
+        if args.seed is not None and "master_seed" in raw:
+            raw["master_seed"] = args.seed
+        # Any other stopping value, a malformed one included, is read as written.
+        if args.subcommand == "holdout" and raw.get("stopping", "discrepancy") == "discrepancy":
+            raw["stopping"] = {"kind": "holdout", "fraction": 0.2}
     return ExperimentConfig.from_dict(raw)
-
-
-def _effective_config(args) -> ExperimentConfig:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.subcommand == "holdout" and cfg.holdout_fraction is None:
-        cfg = dataclasses.replace(cfg, holdout_fraction=0.2)
-    return cfg
 
 
 def _emit(args, text: str) -> None:

@@ -45,7 +45,9 @@ def _block_shape(top: int) -> tuple[int, int]:
     return -(-(top + 1) // width), width
 
 
-def _cosine_blocks(points: np.ndarray, top: int, rows: int = COSINE_BLOCK_ROWS):
+def _cosine_blocks(
+    points: np.ndarray, top: int, rows: int = COSINE_BLOCK_ROWS, chunk: int | None = None
+):
     """Complex powers giving cos(l pi x), l = 0..top, a block of points at a time.
 
     With l = a * width + k (``_block_shape``), cos(l pi x) is
@@ -55,22 +57,28 @@ def _cosine_blocks(points: np.ndarray, top: int, rows: int = COSINE_BLOCK_ROWS):
     multiplication from one ``exp`` per point (its rounding error grows
     linearly in a or k). Viewed as floats, ``za.view(float) @
     zk.view(float).T`` holds sum_i cos((a * width + k) pi x_i) at [a, k].
-    Both live in buffers reused from block to block, which a caller may
-    scale in place but not keep.
+
+    The powers are built for ``chunk`` points at once, a whole multiple of
+    ``rows`` (default ``rows``), and each block is a column view of them, so
+    blocks and their values do not depend on the chunk. The buffers hold
+    O(chunk * sqrt(top)) numbers, are reused from chunk to chunk, and a
+    caller may scale a block in place but not keep it.
     """
     height, width = _block_shape(top)
-    size = min(rows, points.size)
+    chunk = rows if chunk is None else chunk
+    size = min(chunk, points.size)
     za_all = np.empty(height * size, dtype=complex)
     zk_all = np.empty(width * size, dtype=complex)
-    for start in range(0, points.size, rows):
-        theta = np.pi * points[start : start + rows]
+    for first in range(0, points.size, chunk):
+        theta = np.pi * points[first : first + chunk]
         za = za_all[: height * theta.size].reshape(height, theta.size)
         zk = zk_all[: width * theta.size].reshape(width, theta.size)
         for z, step in ((za, np.exp((1j * width) * theta)), (zk, np.exp(-1j * theta))):
             z[0] = 1.0
             for i in range(1, len(z)):
                 np.multiply(z[i - 1], step, out=z[i])
-        yield start, za, zk
+        for start in range(0, theta.size, rows):
+            yield first + start, za[:, start : start + rows], zk[:, start : start + rows]
 
 
 @dataclass(frozen=True)
@@ -239,26 +247,37 @@ class GramSystem:
         Hankel matrix in S_l = sum_i cos(l pi x_i), l = 0..2J, with sqrt(2) S_k
         on the constant mode's row and column, and Phi.T Y needs
         P_j = sum_i y_i cos(j pi x_i). These moments and Y.Y are summed over
-        blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order: memory is
-        O(COSINE_BLOCK_ROWS * sqrt(J) + J^2), and the sums do not depend on
-        the BLAS thread count. An entry of G is accurate to rounding on the
-        scale sqrt(xi_j xi_k), its mean over uniform designs.
+        blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order, so the sums do
+        not depend on the BLAS thread count; a block whose responses are all
+        zero, as the outer regime's unlabeled points are, adds to S alone. The
+        cosine powers are built for a chunk of whole blocks whose buffers take
+        at most half of G's bytes, and are freed before G is allocated: memory
+        is O(chunk * sqrt(J) + J^2). An entry of G is accurate to rounding on
+        the scale sqrt(xi_j xi_k), its mean over uniform designs.
         """
         x = np.asarray(points, dtype=float).ravel()
         y = np.asarray(Y, dtype=float).ravel()
         if y.size < 1 or x.size != y.size:
             raise InvalidInput(f"{x.size} points do not match {y.size} responses")
         J = kernel.truncation
-        S = P = yy = 0.0
-        for start, za, zk in _cosine_blocks(x, 2 * J):
+        height, width = _block_shape(2 * J)
+        # P needs l <= J, which block rows a <= J // width hold.
+        p_rows = J // width + 1
+        # As many whole blocks as keep the powers (height + width complex
+        # numbers a point) within half of G's bytes, and at least one.
+        block_bytes = (height + width) * 16 * COSINE_BLOCK_ROWS
+        chunk = max((J + 1) ** 2 * 8 // 2 // block_bytes, 1) * COSINE_BLOCK_ROWS
+        S, P, yy = np.zeros((height, width)), np.zeros((p_rows, width)), 0.0
+        for start, za, zk in _cosine_blocks(x, 2 * J, chunk=chunk):
             yc = y[start : start + za.shape[1]]
-            # P needs l <= J, which block rows a <= J // width hold.
-            za_p = za[: J // len(zk) + 1]
             zk = zk.view(float).T
-            S = S + za.view(float) @ zk
-            za_p *= yc
-            P = P + za_p.view(float) @ zk
-            yy += float(yc @ yc)
+            S += za.view(float) @ zk
+            if yc.any():
+                za = za[:p_rows]
+                za *= yc
+                P += za.view(float) @ zk
+                yy += float(yc @ yc)
+        del za, zk  # frees the power buffers before G is allocated
         S = S.ravel()[: 2 * J + 1]
         P = P.ravel()[: J + 1]
         # G is the only (J+1)^2 array built here: the block a previous

@@ -215,8 +215,12 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
             kt /= s
         if k == dirs.shape[1]:
             # Capacity doubles with the iterations actually run, from a size
-            # independent of max_iter, so a stopped run grows like a full one.
-            dirs = np.concatenate([dirs, np.empty_like(dirs)], axis=1)
+            # independent of max_iter, so a stopped run grows like a full one;
+            # it never exceeds max_iter. One new array and a copy: no
+            # temporary besides the two.
+            grown = np.empty((len(dirs), min(2 * k, max_iter), y.size))
+            grown[:, :k] = dirs
+            dirs = grown
         dirs[:, k] = (d, t, kt)[: len(dirs)]
         k += 1
 

@@ -154,6 +154,9 @@ CALIBRATION_FRACTION = 0.39
 TAU_PRIME_FLOOR_INNER = 1.5
 TAU_PRIME_FLOOR_OUTER = 6.0
 
+#: ``holdout_select`` scores this many candidate rows per pass.
+HOLDOUT_SELECT_ROWS = 8
+
 
 def threshold_calibrated(
     p: ThresholdParams,
@@ -251,9 +254,19 @@ def holdout_select(predictions, val_labels, M_clip: float) -> int:
         raise InvalidInput("predictions must hold at least one candidate iterate")
     if not M_clip > 0:
         raise InvalidInput(f"M_clip must be positive, got {M_clip}")
-    # Row by row, so temporaries are validation-sized; each loss is the same
-    # pairwise sum as a row of the 2-D mean.
-    losses = [np.mean((np.clip(row, -M_clip, M_clip) - val_y) ** 2) for row in preds]
+    # HOLDOUT_SELECT_ROWS rows at a time through one C-ordered buffer, so
+    # temporaries stay a few validation sets in size and each loss is the
+    # same pairwise sum along its row, divided by the count, as that row's
+    # mean alone, whatever the layout of ``predictions``.
+    losses = np.empty(len(preds))
+    buffer = np.empty((min(HOLDOUT_SELECT_ROWS, len(preds)), val_y.size))
+    for i in range(0, len(preds), HOLDOUT_SELECT_ROWS):
+        part = buffer[: len(preds) - i]
+        np.clip(preds[i : i + len(part)], -M_clip, M_clip, out=part)
+        part -= val_y
+        part *= part
+        np.add.reduce(part, axis=1, out=losses[i : i + len(part)])
+    losses /= val_y.size
     finite = np.isfinite(losses)
     if not finite.all():
         m = int(np.argmin(finite))

@@ -4,9 +4,10 @@
 (``perfbench/outcheck.py``) does, and ``quad`` is that matrix's weighted
 inner product. ``factor`` and ``from_basis`` form the factor B and the Gram
 system from the basis matrix, the reference for ``GramSystem.from_design``.
-``from_moments`` is ``from_design`` as it was before it built G in place:
-the same moments, with G scaled by one full outer product, bit for bit the
-same system.
+``from_moments`` is ``from_design`` as it was before it built G in place,
+chunked the cosine powers and skipped blocks of zero responses: the same
+moments, one block of powers at a time, every block's responses multiplied
+in, and G scaled by one full outer product, bit for bit the same system.
 """
 
 from __future__ import annotations

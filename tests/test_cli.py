@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,58 @@ def test_holdout_subcommand_forces_validation_stopping(tmp_path):
     assert rows
     for row in rows:
         assert row.split(",")[6] == ""  # omega column empty under holdout
+
+
+@pytest.mark.parametrize(
+    "subcommand, seed, stopping",
+    [
+        ("holdout", "5", None),
+        ("holdout", None, "discrepancy"),
+        ("holdout", "5", {"kind": "holdout", "fraction": 0.25}),
+        ("rates", "5", None),
+        ("rates", None, None),
+    ],
+)
+def test_effective_config_builds_one_model_and_equals_the_replace_route(
+    tmp_path, monkeypatch, subcommand, seed, stopping
+):
+    # --seed and the hold-out default are written into the JSON object before
+    # it loads; replacing fields of a loaded config built the model again.
+    d = inner_dict() if stopping is None else inner_dict(stopping=stopping)
+    argv = [subcommand, "--config", write_config(tmp_path, d), "--out", "o"]
+    argv += [] if seed is None else ["--seed", seed]
+    built = []
+    make_model = harness.make_model
+    monkeypatch.setattr(harness, "make_model", lambda *a: built.append(a) or make_model(*a))
+    cfg = cli._effective_config(cli._build_parser().parse_args(argv))
+    assert len(built) == 1
+    expected = ExperimentConfig.from_dict(d)
+    if seed is not None:
+        expected = replace(expected, master_seed=int(seed))
+    if subcommand == "holdout" and expected.holdout_fraction is None:
+        expected = replace(expected, holdout_fraction=0.2)
+    assert cfg == expected
+    assert config_hash(cfg) == config_hash(expected)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (inner_dict(stopping="oracle"), "must be 'discrepancy' or a holdout object, got 'oracle'"),
+        (inner_dict(stopping=None), "must be 'discrepancy' or a holdout object, got None"),
+        ({k: v for k, v in inner_dict().items() if k != "master_seed"}, "master_seed"),
+    ],
+    ids=["unknown_stopping", "null_stopping", "missing_master_seed"],
+)
+def test_overrides_leave_malformed_fields_to_the_config_check(tmp_path, capsys, config, message):
+    # Only an absent or "discrepancy" stopping takes the hold-out default, and
+    # --seed replaces a master_seed the file has: anything else fails as it
+    # does without the overrides.
+    cfg_path = write_config(tmp_path, config)
+    rc = cli.main(["holdout", "--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "5"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_holdout_subcommand_rejects_outer(tmp_path, capsys):

@@ -36,7 +36,7 @@ from kernelcg import (
     spectral_error,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
-from kernelcg.kernels import COSINE_BLOCK_ROWS
+from kernelcg.kernels import COSINE_BLOCK_ROWS, _cosine_blocks
 from kernelcg.solvers import RIDGE_ROWS_SHARE, ridge_takes_rows
 from reference import dense, factor, from_basis, from_moments, quad
 
@@ -356,16 +356,68 @@ def test_gram_system_from_design_matches_the_basis_entry_by_entry(J, design):
     assert_matches_basis(KERNELS[J], *edge_design(*design))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([40, 400]), designs)
-def test_gram_system_from_design_is_the_outer_product_build_bit_for_bit(J, design):
+def zero_responses(y, zeros: str):
+    """Set a run of responses to zero: none, all but the last fifth
+    ("leading"), the middle three fifths ("interior"), all past the first
+    sixteenth ("trailing", as draw_sample pads an outer-regime design) or every
+    one ("all")."""
+    n = y.size
+    y = y.copy()
+    span = {
+        "none": slice(0, 0),
+        "leading": slice(0, n - max(1, n // 5)),
+        "interior": slice(n // 5, n - n // 5),
+        "trailing": slice(max(1, n // 16), n),
+        "all": slice(0, n),
+    }[zeros]
+    y[span] = 0.0
+    return y
+
+
+#: Designs whose sizes straddle the edges of blocks and of J = 400's chunks.
+edge_sized = st.tuples(
+    st.sampled_from([255, 256, 257, 511, 512, 513, 1025]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([40, 400]),
+    designs | edge_sized,
+    st.sampled_from(["none", "leading", "interior", "trailing", "all"]),
+)
+@example(400, (1025, 0, 2), "leading")
+@example(400, (1025, 0, 2), "interior")
+@example(400, (513, 0, 2), "trailing")
+@example(400, (257, 0, 2), "all")
+@example(40, (511, 0, 2), "trailing")
+def test_gram_system_from_design_is_the_outer_product_build_bit_for_bit(J, design, zeros):
     # G is built in place and scaled by w w.T a block of rows at a time; each
-    # entry gets the float operations of one full outer product.
+    # entry gets the float operations of one full outer product. The cosine
+    # powers come a chunk of whole blocks at a time (512 points at J = 400, one
+    # block at J = 40), and a block whose responses are all zero adds to S
+    # alone. None of it may move a bit, wherever the zero blocks sit; with no
+    # nonzero response at all, b and Y.Y are zero.
     x, y = edge_design(*design)
+    y = zero_responses(y, zeros)
     fast, ref = GramSystem.from_design(KERNELS[J], x, y), from_moments(KERNELS[J], x, y)
-    assert np.array_equal(fast.G, ref.G)
-    assert np.array_equal(fast.b, ref.b)
+    assert fast.G.tobytes() == ref.G.tobytes()
+    assert fast.b.tobytes() == ref.b.tobytes()
     assert fast.yy == ref.yy
+    if zeros == "all":
+        assert not fast.b.any() and fast.yy == 0.0
+
+
+@pytest.mark.parametrize("chunk", [256, 512, 768, 4096])
+def test_cosine_blocks_do_not_depend_on_the_chunk(chunk):
+    x = np.random.default_rng(5).random(1025)
+    for (s0, a0, k0), (s1, a1, k1) in zip(
+        _cosine_blocks(x, 800), _cosine_blocks(x, 800, chunk=chunk), strict=True
+    ):
+        assert s0 == s1
+        assert a0.tobytes() == a1.tobytes() and k0.tobytes() == k1.tobytes()
 
 
 def test_gram_system_from_design_allocates_one_gram_matrix():

@@ -341,18 +341,27 @@ class TestHoldoutSelect:
         st.integers(1, 70),
         st.integers(1, 600),
         st.booleans(),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_choice_is_the_argmin_of_the_two_dimensional_losses(self, rows, n, fortran, seed):
-        # The rule works row by row; its losses are those of the whole-array
-        # formula bit for bit, on C- and Fortran-ordered predictions alike
-        # (MercerKernel.series returns the latter).
+    def test_choice_is_the_argmin_of_the_two_dimensional_losses(
+        self, rows, n, fortran, shuffled, seed
+    ):
+        # The rule works a few rows at a time; its losses are those of the
+        # whole-array formula bit for bit, on C- and Fortran-ordered
+        # predictions alike (MercerKernel.series returns the latter). Shuffled
+        # rows hold the same values in other orders against constant labels,
+        # so their losses tie but for rounding, which then decides the choice.
         rng = np.random.default_rng(seed)
         preds = rng.standard_normal((rows, n)) * rng.uniform(0.1, 3.0)
+        val_y = rng.standard_normal(n)
+        if shuffled:
+            same = np.broadcast_to(preds[0], preds.shape)
+            preds = np.ascontiguousarray(rng.permuted(same, axis=1))
+            val_y[:] = val_y[0]
         # Ties: a repeated row must lose to its first copy.
         preds[rows // 2] = preds[0]
-        val_y = rng.standard_normal(n)
         reference = np.mean((np.clip(preds, -1.0, 1.0) - val_y) ** 2, axis=1)
         if fortran:
             preds = np.asfortranarray(preds)
