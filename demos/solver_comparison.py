@@ -4,10 +4,9 @@
 On shared samples, the weighted run stops by the calibrated threshold; the
 plain-residual variant reports the first iteration reaching the same accuracy;
 ridge reports its best penalty from a 20-point log grid. The plain-residual
-run works on the (J+1) x (J+1) Gram matrix G = B.T B of the kernel factor.
-All 20 ridge solutions of a replicate come from one eigendecomposition: of G
-when n >= J+1, else of the smaller n x n kernel matrix K, as at n = 64 and
-128 on this J = 200 grid.
+iterates and all 20 ridge solutions of a replicate come from one Lanczos run
+on the (J+1) x (J+1) Gram matrix G = B.T B of the kernel factor, on either
+side of n = J+1 (this J = 200 grid has n = 64 and 128 below it).
 """
 
 from kernelcg import ExperimentConfig, UniformBounded, compare_solvers

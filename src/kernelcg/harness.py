@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure
 from .evaluation import ERROR_FLOOR, spectral_error
 from .kernels import GramSystem
-from .solvers import CgTrace, gram_fit, ridge_path, ridge_takes_rows
+from .solvers import CgTrace, gram_fit, lanczos_paths
 from .stopping import (
     TAU_PRIME_FLOOR_INNER,
     TAU_PRIME_FLOOR_OUTER,
@@ -52,9 +52,7 @@ from .synth import (
 #: on the largest grids would dominate the runtime.
 HOLDOUT_MAX_ITER = 64
 
-#: Iteration budget of ``compare``'s plain-residual run. It ends at its first
-#: iterate as accurate as the weighted stop, and a run that never gets there
-#: reports its best iterate within this budget.
+#: Iteration budget of ``compare``'s plain-residual (kernel PLS) iterates.
 COMPARE_MAX_ITER = 64
 
 #: Number of ridge penalties in the comparison grid (log-spaced).
@@ -639,22 +637,15 @@ _COMPARE_MEDIANS = ("cg_m_hat", "cg_error", "cgme_m", "cgme_error", "ridge_error
 def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
     """Weighted CG vs. plain-residual CG vs. ridge on identical samples.
 
-    The weighted run always stops by the discrepancy rule, whatever
-    ``cfg.holdout_fraction`` says, and is ``fit_replicate``'s run, so its errors
-    equal the rate sweep's. The plain-residual run (``gram_fit`` in
-    ``euclidean`` mode) and the ridge grid (``ridge_path``) reuse that fit's
-    Gram system, and their errors come from the spectra sqrt(xi / n) * c.
-    Where ``ridge_takes_rows`` picks the K route (designs of fewer points
-    than 0.8 of the modes), the ridge grid gets the factor
-    B = basis * sqrt(xi / n), under modes^2 entries, and decomposes the
-    smaller n x n kernel matrix.
-    The plain-residual run ends at the first iteration matching the weighted
-    run's accuracy (or runs its whole budget and reports its best iteration
-    when it never does); ridge reports its best penalty from a log-spaced
-    grid. All errors are squared prediction-norm distances, squared as in
-    ``ReplicateFit.squared_error``. The summary holds the ``lambda_grid`` and
-    one ``medians`` row per n with surviving replicates; failures are kept as
-    in ``run_experiment``.
+    The weighted run is ``fit_replicate``'s under the discrepancy rule, whatever
+    ``cfg.holdout_fraction`` says, so its errors equal the rate sweep's. The
+    plain-residual (kernel PLS) iterates and the ridge grid come from one
+    Lanczos run on that fit's Gram system (``lanczos_paths``), with no basis.
+    Reported are the first plain iterate as accurate as the weighted stop (or
+    the best within ``COMPARE_MAX_ITER`` when none is) and ridge's best penalty
+    on a log-spaced grid, with squared errors as in ``ReplicateFit.squared_error``.
+    The summary holds the ``lambda_grid`` and one ``medians`` row per n with
+    surviving replicates; failures are kept as in ``run_experiment``.
     """
     model = cfg.model()
     discrepancy_cfg = replace(cfg, holdout_fraction=None)
@@ -665,25 +656,15 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
         scale = np.sqrt(model.eigenvalues / fit.points.size)
         sq = lambda c: _squared_error(scale * c, model, 0.0)
 
+        ridge, pls = lanczos_paths(fit.system, lam_grid, COMPARE_MAX_ITER)
         errs: list[float] = []
-
-        def matched(m, res, c):
+        for c in pls:
             errs.append(sq(c))
-            return errs[-1] <= cg_error
-
-        gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean", stop=matched)
+            if errs[-1] <= cg_error:
+                break
         cgme_matched = errs[-1] <= cg_error
         cgme_m = len(errs) - 1 if cgme_matched else int(np.argmin(errs))
-
-        rows = None
-        if ridge_takes_rows(fit.points.size, scale.size):
-            B = model.kernel.basis(fit.points)
-            B *= scale
-            rows = (B, fit.y)
-        ridge_lambda, ridge_error = min(
-            zip(lam_grid, map(sq, ridge_path(fit.system, lam_grid, rows))),
-            key=lambda t: t[1],
-        )
+        ridge_lambda, ridge_error = min(zip(lam_grid, map(sq, ridge)), key=lambda t: t[1])
         return [CompareRecord(
             fit.n, fit.rep, fit.seed, fit.m_hat, cg_error, cgme_m, errs[cgme_m],
             cgme_matched, ridge_lambda, ridge_error,

@@ -1,4 +1,4 @@
-"""Conjugate-gradient solvers over Krylov spaces, a ridge path, and an oracle.
+"""Conjugate-gradient solvers over Krylov spaces, a Lanczos ridge path, and an oracle.
 
 Every CG run here is one recursion: for an operator A and a right-hand side
 y, iterate m minimizes the residual of A x = y over the Krylov space
@@ -18,23 +18,20 @@ so late iterates do not depend on rounding.
 For a finite-rank kernel K = B B.T every residual, error and prediction
 depends on alpha only through c = B.T alpha, and alpha lies in K_m(K, Y)
 exactly when c lies in K_m(G, b), with G = B.T B and b = B.T Y
-(``kernels.GramSystem``, which builds the cosine kernel's system from its
-design). The kernel-norm residual is |b - G c|, power 0 on G. The squared
-Euclidean one, Y.Y - 2 b.c + c.G c, differs by a constant from the squared
-power -1 norm of b - G c (G inverted on its range, which holds the Krylov
-space). So ``gram_fit`` runs both modes at O(modes^2) per step, whatever n is.
-``ridge_path`` solves a whole penalty grid from one eigendecomposition: of
-G, or of the n x n kernel matrix K = B B.T when the caller passes a factor B
-with fewer rows n than 0.8 of the modes (``ridge_takes_rows``).
-``krylov_oracle`` solves the same minimizations by explicit basis
-construction and dense least squares; it is deliberately independent of the
-recursion so the two can check each other. No subcommand runs ``cg_fit`` or
-``krylov_oracle``: with ``kernels.KernelMatrix`` they are the dense reference
-that the tests and the benchmark's output check hold ``gram_fit`` to.
+(``kernels.GramSystem``). The kernel-norm residual is |b - G c|, power 0 on
+G; the squared Euclidean one, Y.Y - 2 b.c + c.G c, is the squared power -1
+norm of b - G c plus a constant. So ``gram_fit`` runs both modes at
+O(modes^2) per step, whatever n is. ``lanczos_paths`` gives a whole ridge
+grid and the kernel-PLS iterates from one Lanczos run on (G, b).
+``krylov_oracle`` solves the CG minimizations by explicit basis construction
+and dense least squares, independently of the recursion. No subcommand runs
+``cg_fit`` or ``krylov_oracle``: they are the dense reference that the tests
+and the benchmark's output check hold ``gram_fit`` to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -105,46 +102,23 @@ def _check_mode(mode: str) -> None:
 def cg_fit(K: KernelMatrix, Y, max_iter: int | None = None, mode: Mode = "kn_norm") -> CgTrace:
     """Run the conjugate-gradient recursion on the dense matrix and record every iterate.
 
-    This is the module's one recursion on K, at power 1 (``kn_norm``) or 0
-    (``euclidean``): the dense reference that ``gram_fit`` is checked
-    against. Its reorthogonalization stores three n-vectors per iteration
-    run (two in ``euclidean`` mode).
+    The module's recursion on the normalized matrix K (only its ``matvec``
+    is used) at power 1 (``kn_norm``) or 0 (``euclidean``), the dense
+    reference for ``gram_fit``, storing three n-vectors per iteration (two
+    in ``euclidean`` mode). ``max_iter`` defaults to n and is capped at n.
+    The run ends early, with ``breakdown_at`` set, when a new direction's
+    norm falls to ``BREAKDOWN_RTOL`` of the first, when a step no longer
+    reduces the residual, or when a weighted squared residual comes out
+    negative (the rounding floor); that step is not recorded. Raises
+    InvalidInput on a dimension mismatch or unknown mode, and
+    NumericalFailure, with the iteration, on a non-finite value.
 
     The ``euclidean`` mode drifts from the exact Krylov minimizer when K has
-    rank below n, as a finite-rank kernel has once n is well above its
-    number of modes: the n-vectors carry the part of Y outside the range of
-    K, which dwarfs the reachable residual. On the J = 120 cosine spectra
-    from n of about 500, the spectral coefficients of alpha_m are off by up
-    to about 1e-4 relative past m of about 50. ``gram_fit`` on the kernel's
-    ``GramSystem`` stays within 3.3e-12 of the minimizer there; in the
-    ``kn_norm`` mode the two agree to about 5e-8.
-
-    Parameters
-    ----------
-    K : KernelMatrix
-        Normalized kernel matrix; only its ``matvec`` is used.
-    Y : array-like, shape (n,)
-        Response vector.
-    max_iter : int, optional
-        Iteration budget; defaults to n and is capped at n.
-    mode : {"kn_norm", "euclidean"}
-        Norm minimized over the growing Krylov spaces.
-
-    Returns
-    -------
-    CgTrace
-        The run ends early, with ``breakdown_at`` set, when a new direction's
-        norm falls to ``BREAKDOWN_RTOL`` of the first, when a step no longer
-        reduces the residual, or when a weighted squared residual comes out
-        negative (the recursion has reached its rounding floor); the step
-        that ended it is not recorded.
-
-    Raises
-    ------
-    InvalidInput
-        On dimension mismatch or unknown mode.
-    NumericalFailure
-        If a non-finite value appears; carries the iteration index.
+    rank below n: the n-vectors carry the part of Y outside the range of K,
+    which dwarfs the reachable residual. On the J = 120 cosine spectra from
+    n of about 500, alpha_m's spectral coefficients are off by up to about
+    1e-4 relative past m of about 50, where ``gram_fit`` stays within 3.3e-12
+    of the minimizer; in the ``kn_norm`` mode the two agree to about 5e-8.
     """
     _check_mode(mode)
     y = _check_system(K, Y)
@@ -349,59 +323,101 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     return u @ coef
 
 
-#: ``ridge_path`` decomposes K rather than G on designs of fewer points than
-#: this share of the modes. The eigendecomposition and the factor cost less
-#: than eigh(G) up to about 0.84 (J = 400) and 0.83 (J = 120) of the modes,
-#: at 1 BLAS thread.
-RIDGE_ROWS_SHARE = 0.8
+#: ``lanczos_paths`` stops once every penalty's residual is at most this
+#: fraction of |b|. Worst relative gap of a row from a dense solve, over 96
+#: draws of the four shipped models on both sides of n = J+1:
+#:     tolerance   1e-10   1e-12   1e-13
+#:     worst gap   2.0e-7  2.4e-9  1.5e-10
+#:     most steps  115     129     136
+RIDGE_RTOL = 1e-13
 
 
-def ridge_takes_rows(n: int, modes: int) -> bool:
-    """Whether ``ridge_path`` takes the K route for n points and ``modes`` modes."""
-    return n < RIDGE_ROWS_SHARE * modes
+def _ldl_solve(piv: np.ndarray, betas: list[float], scale: float, last: int | None = None):
+    """Column s is scale (T + s I)^-1 e_1, from the LDL.T pivots of T + s I in
+    ``piv`` (a row per step, a column per shift s) and T's off-diagonal
+    ``betas``. With ``last``, column m = 0..last solves the leading m x m system."""
+    sub = np.array(betas[: len(piv) - 1])[:, None] / piv[:-1]  # L's subdiagonal
+    y = np.cumprod(np.vstack([np.full(piv.shape[1], scale), -sub]), axis=0) / piv
+    if last is not None:
+        y = np.triu(np.broadcast_to(y, (len(y), last + 1)), 1)
+    for j in range(len(y) - 2, -1, -1):
+        y[j] -= sub[j] * y[j + 1]
+    return y
 
 
-def ridge_path(system: GramSystem, lams, rows=None) -> np.ndarray:
-    """Ridge solutions for every penalty in ``lams`` from one eigendecomposition.
+def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge rows at every penalty in ``lams`` and the kernel-PLS iterates, from one Lanczos run.
 
-    Row i is c = B.T alpha for alpha = (K + lam * I)^-1 Y at ``lams[i]``,
-    which by the push-through identity is (G + lam * I)^-1 b. The smaller of
-    the two Gram matrices is decomposed:
+    K_k(G + lam I, b) = K_k(G, b) (Frommer & Maass 1999), so k Lanczos steps
+    on (G, b), with two Gram-Schmidt passes each as in ``_recursion``, give
+    row i = |b| Q_k (T_k + lam_i I)^-1 e_1 ~ (G + lam_i I)^-1 b. Its residual
+    over |b| is the product of beta_j / |pi_j| over the steps, with the pivots
+    pi_j = alpha_j + lam - beta_(j-1)^2 / pi_(j-1). The run stops once every
+    residual is at most ``RIDGE_RTOL`` and ``pls_iter`` steps are done, or when
+    the space is exhausted (beta_k at most ``BREAKDOWN_RTOL`` of |G q_1|, or k
+    at the modes). The unshifted iterates c_m = |b| Q_m T_m^-1 e_1 are
+    ``gram_fit``'s ``euclidean`` ones by other arithmetic. No eigensolver runs,
+    so the bits do not depend on the BLAS thread count.
 
-    - G = V diag(mu) V.T, (modes x modes), by default: c = V (V.T b / (mu + lam));
-    - K = B B.T = U diag(nu) U.T, (n x n), when ``rows = (B, Y)`` gives the
-      factor and the responses of ``system`` and ``ridge_takes_rows(n, modes)``:
-      c = B.T U (U.T Y / (nu + lam)), all penalties in one product.
-
-    Otherwise the G route runs unchanged, whether or not ``rows`` is given.
-    Nothing is divided by a power of mu or nu alone: near n = modes the
-    spectrum of G reaches 1e-18. Returns shape (len(lams), modes).
+    Returns ``(ridge, pls)``: shapes (len(lams), modes) and (m + 1, modes),
+    rows c_0 = 0 .. c_m with m = min(pls_iter, n, steps), cut before a pivot
+    of T_m that is not positive.
     """
     grid = np.asarray(lams, dtype=float)
     if grid.ndim != 1:
         raise InvalidInput(f"lams must be a 1-D grid of penalties, got shape {grid.shape}")
-    for lam in grid:
-        if not lam > 0:
-            raise InvalidInput(f"lambda must be positive, got {lam}")
-    modes = system.b.size
-    if rows is not None:
-        B, y = np.asarray(rows[0], dtype=float), np.asarray(rows[1], dtype=float).ravel()
-        if B.shape != (system.n, modes) or y.size != system.n:
-            raise InvalidInput(
-                f"rows of shapes {B.shape} and {y.shape} do not fit a system of "
-                f"{system.n} rows and {modes} modes"
-            )
-        if not ridge_takes_rows(system.n, modes):
-            rows = None
-    if grid.size == 0:
-        return np.empty((0, modes))
-    # K and G are positive semidefinite; a negative eigenvalue is rounding.
-    if rows is not None:
-        nu, u = np.linalg.eigh(B @ B.T)
-        np.maximum(nu, 0.0, out=nu)
-        alphas = u @ ((u.T @ y)[:, None] / (nu[:, None] + grid))
-        return alphas.T @ B
-    mu, v = np.linalg.eigh(system.G)
-    np.maximum(mu, 0.0, out=mu)
-    vtb = v.T @ system.b
-    return np.array([v @ (vtb / (mu + lam)) for lam in grid])
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise InvalidInput(f"penalties must be positive and finite, got {grid.tolist()}")
+    if int(pls_iter) < 0:
+        raise InvalidInput(f"pls_iter must be nonnegative, got {pls_iter}")
+    G, b = system.G, system.b
+    modes, norm_b = b.size, math.sqrt(b @ b)
+    if norm_b == 0.0:
+        return np.zeros((grid.size, modes)), np.zeros((1, modes))
+
+    q = np.empty((min(8, modes), modes))  # the Lanczos vectors, one per row
+    q[0] = b / norm_b
+    alphas, betas = [], []
+    piv, res = np.empty((modes, grid.size)), np.ones(grid.size)  # res: residuals over |b|
+    while True:
+        k = len(alphas)
+        w = G @ q[k]
+        if not k:
+            floor = BREAKDOWN_RTOL * math.sqrt(w @ w)
+        qk = q[: k + 1]
+        h = qk @ w  # the first pass's coefficient on q_k is alpha_k
+        alphas.append(float(h[k]))
+        w -= h @ qk
+        w -= (qk @ w) @ qk
+        beta = math.sqrt(w @ w)
+        if not math.isfinite(beta + alphas[-1]):
+            raise NumericalFailure(f"non-finite Lanczos step {k + 1}", iteration=k + 1)
+        piv[k] = alphas[-1] + grid - (betas[-1] ** 2 / piv[k - 1] if k else 0.0)
+        res *= beta / np.abs(piv[k])
+        converged = k + 1 >= pls_iter and res.max(initial=0.0) <= RIDGE_RTOL
+        if beta <= floor or k + 1 == modes or converged:
+            break
+        betas.append(beta)
+        if k + 1 == len(q):  # capacity doubles, as in _recursion
+            grown = np.empty((min(2 * len(q), modes), modes))
+            grown[: k + 1] = q
+            q = grown
+        q[k + 1] = w / beta
+
+    ridge = _ldl_solve(piv[: k + 1], betas, norm_b).T @ q[: k + 1]
+    piv0: list[float] = []
+    for a in alphas[: min(int(pls_iter), system.n)]:
+        p = a - (betas[len(piv0) - 1] ** 2 / piv0[-1] if piv0 else 0.0)
+        if not p > 0:
+            break
+        piv0.append(p)
+    if not piv0:
+        return ridge, np.zeros((1, modes))
+    y = _ldl_solve(np.array(piv0)[:, None], betas, norm_b, last=len(piv0))
+    return ridge, y.T @ q[: len(piv0)]
+
+
+def ridge_path(system: GramSystem, lams) -> np.ndarray:
+    """Rows c = B.T (K + lam I)^-1 Y = (G + lam I)^-1 b for each penalty in ``lams``,
+    shape (len(lams), modes): the ridge half of ``lanczos_paths``."""
+    return lanczos_paths(system, lams)[0]

@@ -8,6 +8,7 @@ system from the basis matrix, the reference for ``GramSystem.from_design``.
 chunked the cosine powers and skipped blocks of zero responses: the same
 moments, one block of powers at a time, every block's responses multiplied
 in, and G scaled by one full outer product, bit for bit the same system.
+``ridge_eigh`` is the ridge path from an eigendecomposition of G.
 """
 
 from __future__ import annotations
@@ -75,3 +76,13 @@ def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
     phi_y = np.sqrt(2.0) * P
     phi_y[0] = P[0]
     return GramSystem(G=G, b=w * phi_y, yy=yy, n=y.size)
+
+
+def ridge_eigh(system: GramSystem, lams) -> np.ndarray:
+    """Ridge rows (G + lam I)^-1 b from one eigendecomposition of G, as
+    ``ridge_path`` formed them before its Lanczos run: G = V diag(mu) V.T, and
+    c = V (V.T b / (mu + lam)), with negative eigenvalues (rounding) set to 0."""
+    mu, v = np.linalg.eigh(system.G)
+    np.maximum(mu, 0.0, out=mu)
+    vtb = v.T @ system.b
+    return np.array([v @ (vtb / (mu + lam)) for lam in lams]).reshape(len(lams), -1)

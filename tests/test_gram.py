@@ -4,8 +4,9 @@ Every replicate runs on the (J+1) x (J+1) ``GramSystem`` of the cosine
 kernel, built from cosine moments of the design (``GramSystem.from_design``).
 That build is checked entry by entry against ``reference.from_basis``, the
 same system formed from the basis matrix. The solvers (``gram_fit``,
-``ridge_path``) are checked against ``cg_fit`` on the dense ``KernelMatrix``
-(``reference.dense``), against dense solves and against an explicit-basis
+``ridge_path``, ``lanczos_paths``) are checked against ``cg_fit`` on the dense
+``KernelMatrix`` (``reference.dense``), against dense solves, the
+eigendecomposition route ``reference.ridge_eigh`` and an explicit-basis
 minimizer; ``cg_fit`` itself is checked against ``krylov_oracle``. Points
 are uniform draws, spectra those of the shipped configs.
 """
@@ -13,7 +14,6 @@ are uniform draws, spectra those of the shipped configs.
 from __future__ import annotations
 
 import json
-import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -32,13 +32,13 @@ from kernelcg import (
     eval_target,
     gram_fit,
     krylov_oracle,
+    lanczos_paths,
     ridge_path,
     spectral_error,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 from kernelcg.kernels import COSINE_BLOCK_ROWS, _cosine_blocks
-from kernelcg.solvers import RIDGE_ROWS_SHARE, ridge_takes_rows
-from reference import dense, factor, from_basis, from_moments, quad
+from reference import dense, factor, from_basis, from_moments, quad, ridge_eigh
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -221,82 +221,103 @@ def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
 def test_ridge_path_matches_dense_solve(name, wide, seed):
     # wide: fewer points than modes, so K is nonsingular; otherwise K is
     # singular and G = B.T B is, with eigenvalues down to about 1e-18 when n
-    # is near the number of modes.
+    # is near the number of modes. The Lanczos rows match the dense solve and
+    # the eigendecomposition of G on both sides.
     model = SHIPPED[name]
     modes = model.eigenvalues.size
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, modes)) if wide else int(rng.integers(modes + 1, modes + 200))
-    # Given the factor, a design of fewer points than 0.8 of the modes
-    # decomposes K instead of G; a larger one keeps the G route bit for bit.
     x, y = draw(n, seed, model)
     K = dense(model.kernel, x)
     B = factor(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
     system = gram_system(x, y, model)
     path = ridge_path(system, lams)
-    by_rows = ridge_path(system, lams, (B, y))
-    if not ridge_takes_rows(n, modes):
-        assert np.array_equal(by_rows, path)
-    for p in (path, by_rows):
-        assert p.shape == (lams.size, modes)
-        assert np.all(np.isfinite(p))
-    for lam, c, c_rows in zip(lams, path, by_rows):
+    assert path.shape == (lams.size, modes)
+    assert np.all(np.isfinite(path))
+    for lam, c, c_eigh in zip(lams, path, ridge_eigh(system, lams)):
         direct = B.T @ np.linalg.solve(K.entries + lam * np.eye(n), y)
         assert rel(c, direct) <= 1e-8, lam
-        assert rel(c_rows, direct) <= 1e-8, lam
-        assert rel(c_rows, c) <= 1e-8, lam
+        assert rel(c, c_eigh) <= 1e-8, lam
 
 
-@pytest.mark.parametrize("side", [-1, 0], ids=["k_route", "g_route"])
+@pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
 @pytest.mark.parametrize("name", ["inner_small", "inner_r1_s05"])
-def test_ridge_routes_agree_on_both_sides_of_the_cutoff(name, side):
-    # The route switches at 0.8 of the modes (97 of 121, 321 of 401), below
-    # the measured crossover of their costs. On either side the path is the
-    # dense solve to rounding: 6e-11 relative, where G's null space meets
-    # the smallest penalty.
+def test_ridge_path_next_to_a_design_of_modes_points(name, side):
+    # At n = modes +- 1 the spectrum of G reaches about 1e-18, and the run
+    # needs the most steps. The rows are still the dense solve and the
+    # eigendecomposition's to rounding: at most 1.4e-10 relative over these
+    # 18 draws.
     model = SHIPPED[name]
-    modes = model.eigenvalues.size
-    n = math.ceil(RIDGE_ROWS_SHARE * modes) + side
-    assert ridge_takes_rows(n, modes) == (side < 0)
+    n = model.eigenvalues.size + side
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
     for seed in range(3):
         x, y = draw(n, seed, model)
         B = factor(x, model)
         system = gram_system(x, y, model)
-        path = ridge_path(system, lams)
-        by_rows = ridge_path(system, lams, (B, y))
-        assert np.array_equal(by_rows, path) == (side == 0)
         K = dense(model.kernel, x).entries
-        for lam, c, c_rows in zip(lams, path, by_rows):
+        for lam, c, c_eigh in zip(lams, ridge_path(system, lams), ridge_eigh(system, lams)):
             direct = B.T @ np.linalg.solve(K + lam * np.eye(n), y)
-            assert rel(c_rows, c) <= 1e-9, lam
-            assert rel(c_rows, direct) <= 1e-9, lam
+            assert rel(c, c_eigh) <= 1e-9, lam
+            assert rel(c, direct) <= 1e-9, lam
+
+
+# The Lanczos run's unshifted iterates c_m = |b| Q_m T_m^-1 e_1 are gram_fit's
+# euclidean iterates by other arithmetic, compared at every m both reach.
+# Largest gap over 450 draws of the shipped models on both sides of n = J+1:
+# 4.1e-9. Where gram_fit's run ends at its rounding floor, the Lanczos run
+# may go on to the exhausted space (in 44 of those draws);
+# at that last step G restricted to the space has condition number up to
+# about 1e13, and the explicit-basis minimizer is no reference there. Any
+# common iterate where the two differ by more than 1e-7 is checked against
+# the explicit-basis minimizer, as for gram_fit above.
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_lanczos_pls_iterates_match_gram_fit(name, wide, seed):
+    model = SHIPPED[name]
+    modes = model.eigenvalues.size
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, modes)) if wide else int(rng.integers(modes + 1, modes + 200))
+    x, y = draw(n, seed, model)
+    system = gram_system(x, y, model)
+    budget = min(64, n)
+    ridge, pls = lanczos_paths(system, [model.kappa], budget)
+    ref = gram_fit(system, max_iter=budget, mode="euclidean")
+    assert ridge.shape == (1, modes)
+    assert not np.any(pls[0])
+    assert len(pls) - 1 == ref.m_last or (len(pls) - 1 > ref.m_last and ref.breakdown_at)
+    exact = None
+    for m in range(1, ref.m_last + 1):
+        if rel(pls[m], ref.alphas[m]) <= 1e-7:
+            continue
+        if exact is None:
+            exact = krylov_minimizers(system, ref.m_last, "euclidean")
+        assert rel(pls[m], exact[m]) <= 1e-10, m
 
 
 @pytest.mark.parametrize("n", [5, 130], ids=["wide", "tall"])
 def test_ridge_path_grid_edge_cases(n):
-    # Both routes return (0, modes) for an empty grid and refuse a 2-D one;
-    # a factor that does not fit the system is refused.
+    # An empty grid returns (0, modes); a 2-D grid, a penalty that is not
+    # positive, and an infinite or NaN one are refused: an infinite penalty
+    # used to return a row of zeros.
     model = SHIPPED["inner_small"]
     x, y = draw(n, n, model)
     system = gram_system(x, y, model)
-    rows = (factor(x, model), y)
-    for r in (None, rows):
-        assert ridge_path(system, [], r).shape == (0, model.eigenvalues.size)
+    assert ridge_path(system, []).shape == (0, model.eigenvalues.size)
+    for bad in ([[1.0, 2.0]], [1.0, 0.0], [np.inf], [1e309], [1.0, np.nan], [-np.inf]):
         with pytest.raises(InvalidInput):
-            ridge_path(system, [[1.0, 2.0]], r)
-        with pytest.raises(InvalidInput):
-            ridge_path(system, [1.0, 0.0], r)
+            ridge_path(system, bad)
     with pytest.raises(InvalidInput):
-        ridge_path(system, [1.0], (rows[0][:, 1:], y))
-    with pytest.raises(InvalidInput):
-        ridge_path(system, [1.0], (rows[0], y[1:]))
+        lanczos_paths(system, [1.0], -1)
+    ridge, pls = lanczos_paths(gram_system(x, np.zeros(n), model), [1.0, 2.0], 10)
+    assert ridge.shape == (2, model.eigenvalues.size) and not np.any(ridge)
+    assert pls.shape == (1, model.eigenvalues.size) and not np.any(pls)
 
 
-def test_compare_ridge_columns_match_the_gram_route():
-    # n_grid straddles the route's cutoff at 0.8 of the 41 modes: 24 and 32
-    # points take the K route, 40 and 48 the G route. Each record must equal
-    # the G route's best penalty and error.
+def test_compare_ridge_columns_match_the_eigendecomposition():
+    # n_grid straddles n = J+1 = 41: G is nonsingular at 24 and 32 points and
+    # singular at 48. Each record must name the best penalty of the
+    # eigendecomposition route and its error to rounding.
     d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
     d["model"]["J"] = 40
     cfg = replace(ExperimentConfig.from_dict(d), n_grid=(24, 32, 40, 48), replicates=2)
@@ -309,11 +330,25 @@ def test_compare_ridge_columns_match_the_gram_route():
         scale = np.sqrt(model.eigenvalues / rec.n)
         errs = [
             spectral_error(scale * c, model, 0.0) ** 2
-            for c in ridge_path(fit.system, lam_grid)
+            for c in ridge_eigh(fit.system, lam_grid)
         ]
         best = int(np.argmin(errs))
-        assert rec.ridge_lambda == pytest.approx(lam_grid[best], rel=1e-10)
+        assert rec.ridge_lambda == lam_grid[best]
         assert rec.ridge_error == pytest.approx(errs[best], rel=1e-10)
+
+
+def test_compare_never_evaluates_the_basis(monkeypatch):
+    # Every solver of compare works on the Gram system, also on designs of
+    # fewer than J+1 points, where the ridge grid used to decompose K = B B.T.
+    d = json.loads((CONFIGS[0].parent / "inner_small.json").read_text())
+    cfg = replace(ExperimentConfig.from_dict(d), n_grid=(24, 96, 200), replicates=1)
+
+    def no_basis(*args):
+        raise AssertionError("basis evaluated")
+
+    monkeypatch.setattr(MercerKernel, "basis", no_basis)
+    report = compare_solvers(cfg)
+    assert len(report.records) == 3 and not report.summary["failures"]
 
 
 #: The J=40 kernel of the memory test below, and the shipped J=120 and J=400.
