@@ -136,10 +136,8 @@ def effective_dimension(
             raise InvalidInput("tail_from is required when tail_decay is given")
         if not tail_from > 0:
             raise InvalidInput(f"tail_from must be positive, got {tail_from}")
-        if not tail_decay > 1:
-            raise InvalidInput(
-                f"tail_decay must exceed 1 for the tail to converge, got {tail_decay}"
-            )
+        if not 1 < tail_decay < math.inf:
+            raise InvalidInput(f"tail_decay must exceed 1 and be finite, got {tail_decay}")
         tail = _tail_integral(float(tail_decay), float(lam), float(tail_from))
     return EffectiveDimension(truncated_sum=truncated, tail_bound=float(tail))
 

@@ -425,14 +425,14 @@ def _squared_error(spectrum, model: MercerModel, theta: float) -> float:
 
 @dataclass(frozen=True)
 class ReplicateFit:
-    """One seeded replicate of ``model``: its design, CG trace, stop index and stopped estimator.
+    """One seeded replicate of ``model``: its Gram system, CG trace, stop index and estimator.
 
-    ``points``, ``y`` and ``system`` are what CG ran on: labeled plus
-    unlabeled points with padded responses in the outer regime, only the
-    training part of the split under hold-out stopping. ``system`` is the
-    (J+1) x (J+1) Gram system of the factor B = Phi * sqrt(xi / n), and the
-    rows of ``trace`` are c_m = B.T alpha_m under either stopping rule.
-    ``spectrum`` = sqrt(xi / n) * c_m_hat holds the stopped estimator's
+    ``system`` is what CG ran on: the (J+1) x (J+1) Gram system of the
+    factor B = Phi * scale, with scale = sqrt(xi / system.n) over the design
+    points (labeled plus unlabeled with padded responses in the outer regime,
+    only the training part of the split under hold-out stopping). The rows of
+    ``trace`` are c_m = B.T alpha_m under either stopping rule, and
+    ``spectrum`` = scale * c_m_hat holds the stopped estimator's
     coefficients on the model's eigenfunctions, which fix every error norm.
     ``omega`` is the discrepancy threshold, None under hold-out stopping.
     """
@@ -441,13 +441,15 @@ class ReplicateFit:
     n: int
     rep: int
     seed: int
-    points: np.ndarray
-    y: np.ndarray
     system: GramSystem
     trace: CgTrace
     m_hat: int
     omega: float | None
-    spectrum: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self.scale * self.trace.alphas[self.m_hat]
 
     def squared_error(self, theta: float) -> float:
         """Squared theta-norm distance of the stopped estimator from the target."""
@@ -472,7 +474,7 @@ def fit_replicate(cfg: ExperimentConfig, n: int, rep: int) -> ReplicateFit:
     the loop at the stop index, so the trace holds ``m_hat + 1`` iterates.
     Under hold-out it runs up to ``HOLDOUT_MAX_ITER`` steps, and
     ``holdout_select`` picks among the validation predictions of the spectra
-    sqrt(xi / n) * c_m, summed by ``MercerKernel.series``. Raises
+    scale * c_m, summed by ``MercerKernel.series``. Raises
     InvalidInput when the hold-out split leaves no training data at this
     ``n``, and NumericalFailure from the solver.
     """
@@ -494,18 +496,17 @@ def fit_replicate(cfg: ExperimentConfig, n: int, rep: int) -> ReplicateFit:
         y, y_val = y[: n - n_val], y[n - n_val :]
 
     system = GramSystem.from_design(model.kernel, x, y)
-    w = np.sqrt(model.eigenvalues / x.size)
+    scale = np.sqrt(model.eigenvalues / x.size)
     if holdout:
         omega = None
         trace = gram_fit(system, max_iter=HOLDOUT_MAX_ITER)
-        predictions = model.kernel.series(x_val, trace.alphas * w)
+        predictions = model.kernel.series(x_val, trace.alphas * scale)
         m_hat = holdout_select(predictions, y_val, model.noise.M)
     else:
         omega = _threshold_for(cfg, n)
         trace = gram_fit(system, stop=lambda m, res, c: res < omega)
         m_hat = discrepancy_stop(trace, omega)
-    spectrum = w * trace.alphas[m_hat]
-    return ReplicateFit(model, n, rep, sample.seed, x, y, system, trace, m_hat, omega, spectrum)
+    return ReplicateFit(model, n, rep, sample.seed, system, trace, m_hat, omega, scale)
 
 
 def _sweep(cfg: ExperimentConfig, records) -> tuple[list, list[str]]:
@@ -653,8 +654,7 @@ def compare_solvers(cfg: ExperimentConfig) -> SweepReport:
 
     def records(fit: ReplicateFit) -> list[CompareRecord]:
         cg_error = fit.squared_error(0.0)
-        scale = np.sqrt(model.eigenvalues / fit.points.size)
-        sq = lambda c: _squared_error(scale * c, model, 0.0)
+        sq = lambda c: _squared_error(fit.scale * c, model, 0.0)
 
         ridge, pls = lanczos_paths(fit.system, lam_grid, COMPARE_MAX_ITER)
         errs: list[float] = []

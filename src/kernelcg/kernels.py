@@ -45,6 +45,14 @@ def _block_shape(top: int) -> tuple[int, int]:
     return -(-(top + 1) // width), width
 
 
+def _check_points(x: np.ndarray) -> np.ndarray:
+    """``x`` itself; InvalidInput unless every point lies in [0, 1]."""
+    # min and max propagate NaN, which fails both comparisons.
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise InvalidInput(f"points must lie in [0, 1], got range [{x.min():.6g}, {x.max():.6g}]")
+    return x
+
+
 def _cosine_blocks(
     points: np.ndarray, top: int, rows: int = COSINE_BLOCK_ROWS, chunk: int | None = None
 ):
@@ -125,9 +133,10 @@ class MercerKernel:
         such rows; the result is ``coeffs @ basis(points).T`` to rounding.
         Besides it the call holds O(rows * sqrt(truncation)) numbers per
         point of a block for up to ``SERIES_FEW_ROWS`` rows, else a tile of
-        SERIES_TILE_ROWS * (truncation + 1).
+        SERIES_TILE_ROWS * (truncation + 1). Raises InvalidInput unless every
+        point lies in [0, 1].
         """
-        x = np.asarray(points, dtype=float).ravel()
+        x = _check_points(np.asarray(points, dtype=float).ravel())
         coeffs = np.asarray(coeffs, dtype=float)
         modes = self.truncation + 1
         if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != modes:
@@ -253,12 +262,14 @@ class GramSystem:
         cosine powers are built for a chunk of whole blocks whose buffers take
         at most half of G's bytes, and are freed before G is allocated: memory
         is O(chunk * sqrt(J) + J^2). An entry of G is accurate to rounding on
-        the scale sqrt(xi_j xi_k), its mean over uniform designs.
+        the scale sqrt(xi_j xi_k), its mean over uniform designs. Raises
+        InvalidInput unless the points, as many as the responses, lie in [0, 1].
         """
         x = np.asarray(points, dtype=float).ravel()
         y = np.asarray(Y, dtype=float).ravel()
         if y.size < 1 or x.size != y.size:
             raise InvalidInput(f"{x.size} points do not match {y.size} responses")
+        _check_points(x)
         J = kernel.truncation
         height, width = _block_shape(2 * J)
         # P needs l <= J, which block rows a <= J // width hold.

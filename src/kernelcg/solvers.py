@@ -1,4 +1,4 @@
-"""Conjugate-gradient solvers over Krylov spaces, a Lanczos ridge path, and an oracle.
+"""Conjugate-gradient solvers over Krylov spaces, Lanczos ridge and PLS paths, and an oracle.
 
 Every CG run here is one recursion: for an operator A and a right-hand side
 y, iterate m minimizes the residual of A x = y over the Krylov space
@@ -68,17 +68,16 @@ class CgTrace:
         Iteration index at which the run stopped early, either because the
         basis norm fell below tolerance or because the step no longer
         reduced the residual (numerical floor reached).
-    m_last : int
-        Number of completed iterations.
     n : int
         Row count of the system the run solved (the rows of B for a
         ``gram_fit`` trace); no budget exceeds it.
+
+    ``m_last``, the number of completed iterations, is ``len(alphas) - 1``.
     """
 
     alphas: np.ndarray
     residual_norms: list[float]
     breakdown_at: int | None
-    m_last: int
     n: int
 
     def __post_init__(self):
@@ -86,12 +85,30 @@ class CgTrace:
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
 
+    @property
+    def m_last(self) -> int:
+        return len(self.alphas) - 1
+
 
 def _check_system(K: KernelMatrix, Y) -> np.ndarray:
     y = np.asarray(Y, dtype=float).ravel()
     if y.size != K.n:
         raise InvalidInput(f"dimension mismatch: Y has {y.size}, matrix has {K.n}")
     return y
+
+
+def _count(name: str, value) -> int:
+    """A nonnegative whole number as an int, read as config integers are read:
+    whole floats pass; booleans, strings, fractions, NaN and infinities do not."""
+    try:
+        whole = not isinstance(value, (bool, str)) and int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise InvalidInput(f"{name} must be a whole number, got {value!r}")
+    if value < 0:
+        raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
+    return int(value)
 
 
 def _check_mode(mode: str) -> None:
@@ -137,9 +154,7 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
     Euclidean residual of the n-row problem, sqrt((yy - 2 y.x + x.A x) / n),
     with ``yy`` = Y.Y. ``max_iter`` is capped at n.
     """
-    max_iter = n if max_iter is None else min(int(max_iter), n)
-    if max_iter < 0:
-        raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
+    max_iter = n if max_iter is None else min(_count("max_iter", max_iter), n)
     carry = power >= 0
 
     def residual_sq(x: np.ndarray, r: np.ndarray, kr: np.ndarray | None) -> float:
@@ -166,7 +181,6 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
     if stop is not None and stop(0, residual_norms[0], x):
         max_iter = 0
 
-    m_done = 0
     for i in range(1, max_iter + 1):
         if carry:
             kt = matvec(t)
@@ -219,7 +233,6 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
 
         xs.append(x.copy())
         residual_norms.append(float(np.sqrt(res_sq)))
-        m_done = i
         if stop is not None and stop(i, residual_norms[-1], x):
             break
 
@@ -240,13 +253,7 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
             if carry:
                 t -= c @ dirs[1, :k]
 
-    return CgTrace(
-        alphas=np.array(xs),
-        residual_norms=residual_norms,
-        breakdown_at=breakdown_at,
-        m_last=m_done,
-        n=n,
-    )
+    return CgTrace(np.array(xs), residual_norms, breakdown_at, n)
 
 
 def gram_fit(
@@ -292,9 +299,7 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     _check_mode(mode)
     y = _check_system(K, Y)
     n = K.n
-    m = int(m)
-    if m < 0:
-        raise InvalidInput(f"m must be nonnegative, got {m}")
+    m = _count("m", m)
     if m == 0 or not np.any(y):
         return np.zeros(n)
 
@@ -345,19 +350,23 @@ def _ldl_solve(piv: np.ndarray, betas: list[float], scale: float, last: int | No
     return y
 
 
+# Column 0's pivots, T_k's, may pass zero past the PLS cut; the others exceed lam.
+@np.errstate(divide="ignore", over="ignore")
 def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Ridge rows at every penalty in ``lams`` and the kernel-PLS iterates, from one Lanczos run.
 
     K_k(G + lam I, b) = K_k(G, b) (Frommer & Maass 1999), so k Lanczos steps
     on (G, b), with two Gram-Schmidt passes each as in ``_recursion``, give
-    row i = |b| Q_k (T_k + lam_i I)^-1 e_1 ~ (G + lam_i I)^-1 b. Its residual
-    over |b| is the product of beta_j / |pi_j| over the steps, with the pivots
-    pi_j = alpha_j + lam - beta_(j-1)^2 / pi_(j-1). The run stops once every
-    residual is at most ``RIDGE_RTOL`` and ``pls_iter`` steps are done, or when
-    the space is exhausted (beta_k at most ``BREAKDOWN_RTOL`` of |G q_1|, or k
-    at the modes). The unshifted iterates c_m = |b| Q_m T_m^-1 e_1 are
-    ``gram_fit``'s ``euclidean`` ones by other arithmetic. No eigensolver runs,
-    so the bits do not depend on the BLAS thread count.
+    row i = |b| Q_k (T_k + lam_i I)^-1 e_1 ~ (G + lam_i I)^-1 b. One recurrence
+    gives the pivots pi_j = alpha_j + s - beta_(j-1)^2 / pi_(j-1) at the
+    shifts s = 0, for the unshifted iterates c_m = |b| Q_m T_m^-1 e_1, and
+    s = lam_i, whose residual over |b| is the product of beta_j / |pi_j|. The
+    run stops once every such residual is at most ``RIDGE_RTOL`` and
+    ``pls_iter`` steps are done, or when the space is exhausted (beta_k at
+    most ``BREAKDOWN_RTOL`` of |G q_1|, or k at the modes). The c_m are
+    ``gram_fit``'s ``euclidean`` iterates by other arithmetic. No eigensolver
+    runs, but from about 128 steps at J = 400 the closing BLAS products with
+    Q_k vary in their last bits with the thread count.
 
     Returns ``(ridge, pls)``: shapes (len(lams), modes) and (m + 1, modes),
     rows c_0 = 0 .. c_m with m = min(pls_iter, n, steps), cut before a pivot
@@ -368,17 +377,17 @@ def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarr
         raise InvalidInput(f"lams must be a 1-D grid of penalties, got shape {grid.shape}")
     if not np.all((grid > 0) & (grid < np.inf)):
         raise InvalidInput(f"penalties must be positive and finite, got {grid.tolist()}")
-    if int(pls_iter) < 0:
-        raise InvalidInput(f"pls_iter must be nonnegative, got {pls_iter}")
+    pls_iter = _count("pls_iter", pls_iter)
     G, b = system.G, system.b
     modes, norm_b = b.size, math.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros((grid.size, modes)), np.zeros((1, modes))
 
+    shifts = np.concatenate(([0.0], grid))  # column 0 is T_k's, for the PLS iterates
     q = np.empty((min(8, modes), modes))  # the Lanczos vectors, one per row
     q[0] = b / norm_b
     alphas, betas = [], []
-    piv, res = np.empty((modes, grid.size)), np.ones(grid.size)  # res: residuals over |b|
+    piv, res = np.empty((modes, shifts.size)), np.ones(grid.size)  # res: residuals over |b|
     while True:
         k = len(alphas)
         w = G @ q[k]
@@ -392,8 +401,8 @@ def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarr
         beta = math.sqrt(w @ w)
         if not math.isfinite(beta + alphas[-1]):
             raise NumericalFailure(f"non-finite Lanczos step {k + 1}", iteration=k + 1)
-        piv[k] = alphas[-1] + grid - (betas[-1] ** 2 / piv[k - 1] if k else 0.0)
-        res *= beta / np.abs(piv[k])
+        piv[k] = alphas[-1] + shifts - (betas[-1] ** 2 / piv[k - 1] if k else 0.0)
+        res *= beta / np.abs(piv[k, 1:])
         converged = k + 1 >= pls_iter and res.max(initial=0.0) <= RIDGE_RTOL
         if beta <= floor or k + 1 == modes or converged:
             break
@@ -404,20 +413,9 @@ def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarr
             q = grown
         q[k + 1] = w / beta
 
-    ridge = _ldl_solve(piv[: k + 1], betas, norm_b).T @ q[: k + 1]
-    piv0: list[float] = []
-    for a in alphas[: min(int(pls_iter), system.n)]:
-        p = a - (betas[len(piv0) - 1] ** 2 / piv0[-1] if piv0 else 0.0)
-        if not p > 0:
-            break
-        piv0.append(p)
-    if not piv0:
+    ridge = _ldl_solve(piv[: k + 1, 1:], betas, norm_b).T @ q[: k + 1]
+    m = int(np.cumprod(piv[: min(pls_iter, system.n, k + 1), 0] > 0).sum())
+    if not m:
         return ridge, np.zeros((1, modes))
-    y = _ldl_solve(np.array(piv0)[:, None], betas, norm_b, last=len(piv0))
-    return ridge, y.T @ q[: len(piv0)]
-
-
-def ridge_path(system: GramSystem, lams) -> np.ndarray:
-    """Rows c = B.T (K + lam I)^-1 Y = (G + lam I)^-1 b for each penalty in ``lams``,
-    shape (len(lams), modes): the ridge half of ``lanczos_paths``."""
-    return lanczos_paths(system, lams)[0]
+    y = _ldl_solve(piv[:m, :1], betas, norm_b, last=m)
+    return ridge, y.T @ q[:m]

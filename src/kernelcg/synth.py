@@ -305,14 +305,9 @@ def eval_target(model: MercerModel, x):
 
     Exact for the model itself: the target is a finite combination of the
     eigenfunctions, summed by ``MercerKernel.series``, so the only tolerance
-    is float rounding.
+    is float rounding. Raises InvalidInput unless x lies in [0, 1].
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    # min and max propagate NaN, which fails both comparisons.
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise InvalidInput(f"points must lie in [0, 1], got range "
-                           f"[{arr.min():.6g}, {arr.max():.6g}]")
-    values = model.kernel.series(arr, model.target_coeffs)
+    values = model.kernel.series(x, model.target_coeffs)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(values[0])
     return values

@@ -80,7 +80,7 @@ def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
 
 def ridge_eigh(system: GramSystem, lams) -> np.ndarray:
     """Ridge rows (G + lam I)^-1 b from one eigendecomposition of G, as
-    ``ridge_path`` formed them before its Lanczos run: G = V diag(mu) V.T, and
+    the ridge rows were formed before ``lanczos_paths``: G = V diag(mu) V.T, and
     c = V (V.T b / (mu + lam)), with negative eigenvalues (rounding) set to 0."""
     mu, v = np.linalg.eigh(system.G)
     np.maximum(mu, 0.0, out=mu)

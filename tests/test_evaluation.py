@@ -322,7 +322,14 @@ class TestEffectiveDimension:
 
     @pytest.mark.parametrize(
         "tail_decay, tail_from, message",
-        [(2.0, 0, "tail_from must be positive"), (1.0, 3, "tail_decay must exceed 1")],
+        [
+            (2.0, 0, "tail_from must be positive"),
+            (1.0, 3, "tail_decay must exceed 1"),
+            # An infinite decay used to raise ZeroDivisionError from 0.5 on
+            # and to return a NaN tail bound from 3 on.
+            (np.inf, 0.5, "tail_decay must exceed 1 and be finite"),
+            (np.inf, 3, "tail_decay must exceed 1 and be finite"),
+        ],
     )
     def test_rejects_bad_tail(self, tail_decay, tail_from, message):
         with pytest.raises(InvalidInput, match=message):

@@ -4,7 +4,7 @@ Every replicate runs on the (J+1) x (J+1) ``GramSystem`` of the cosine
 kernel, built from cosine moments of the design (``GramSystem.from_design``).
 That build is checked entry by entry against ``reference.from_basis``, the
 same system formed from the basis matrix. The solvers (``gram_fit``,
-``ridge_path``, ``lanczos_paths``) are checked against ``cg_fit`` on the dense
+``lanczos_paths``) are checked against ``cg_fit`` on the dense
 ``KernelMatrix`` (``reference.dense``), against dense solves, the
 eigendecomposition route ``reference.ridge_eigh`` and an explicit-basis
 minimizer; ``cg_fit`` itself is checked against ``krylov_oracle``. Points
@@ -33,7 +33,6 @@ from kernelcg import (
     gram_fit,
     krylov_oracle,
     lanczos_paths,
-    ridge_path,
     spectral_error,
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
@@ -218,7 +217,7 @@ def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(MODEL_NAMES), st.booleans(), st.integers(0, 2**32 - 1))
-def test_ridge_path_matches_dense_solve(name, wide, seed):
+def test_lanczos_paths_ridge_matches_dense_solve(name, wide, seed):
     # wide: fewer points than modes, so K is nonsingular; otherwise K is
     # singular and G = B.T B is, with eigenvalues down to about 1e-18 when n
     # is near the number of modes. The Lanczos rows match the dense solve and
@@ -232,7 +231,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
     B = factor(x, model)
     lams = model.kappa * np.logspace(-6.0, 0.0, 20)
     system = gram_system(x, y, model)
-    path = ridge_path(system, lams)
+    path, _ = lanczos_paths(system, lams)
     assert path.shape == (lams.size, modes)
     assert np.all(np.isfinite(path))
     for lam, c, c_eigh in zip(lams, path, ridge_eigh(system, lams)):
@@ -243,7 +242,7 @@ def test_ridge_path_matches_dense_solve(name, wide, seed):
 
 @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
 @pytest.mark.parametrize("name", ["inner_small", "inner_r1_s05"])
-def test_ridge_path_next_to_a_design_of_modes_points(name, side):
+def test_lanczos_paths_ridge_next_to_a_design_of_modes_points(name, side):
     # At n = modes +- 1 the spectrum of G reaches about 1e-18, and the run
     # needs the most steps. The rows are still the dense solve and the
     # eigendecomposition's to rounding: at most 1.4e-10 relative over these
@@ -256,7 +255,8 @@ def test_ridge_path_next_to_a_design_of_modes_points(name, side):
         B = factor(x, model)
         system = gram_system(x, y, model)
         K = dense(model.kernel, x).entries
-        for lam, c, c_eigh in zip(lams, ridge_path(system, lams), ridge_eigh(system, lams)):
+        ridge, _ = lanczos_paths(system, lams)
+        for lam, c, c_eigh in zip(lams, ridge, ridge_eigh(system, lams)):
             direct = B.T @ np.linalg.solve(K + lam * np.eye(n), y)
             assert rel(c, c_eigh) <= 1e-9, lam
             assert rel(c, direct) <= 1e-9, lam
@@ -296,22 +296,37 @@ def test_lanczos_pls_iterates_match_gram_fit(name, wide, seed):
 
 
 @pytest.mark.parametrize("n", [5, 130], ids=["wide", "tall"])
-def test_ridge_path_grid_edge_cases(n):
+def test_lanczos_paths_grid_edge_cases(n):
     # An empty grid returns (0, modes); a 2-D grid, a penalty that is not
     # positive, and an infinite or NaN one are refused: an infinite penalty
-    # used to return a row of zeros.
+    # used to return a row of zeros. So is a pls_iter that is not a
+    # nonnegative whole number: inf and NaN used to raise OverflowError and
+    # ValueError, and 2.5 was read as 2.
     model = SHIPPED["inner_small"]
     x, y = draw(n, n, model)
     system = gram_system(x, y, model)
-    assert ridge_path(system, []).shape == (0, model.eigenvalues.size)
+    assert lanczos_paths(system, [])[0].shape == (0, model.eigenvalues.size)
     for bad in ([[1.0, 2.0]], [1.0, 0.0], [np.inf], [1e309], [1.0, np.nan], [-np.inf]):
         with pytest.raises(InvalidInput):
-            ridge_path(system, bad)
-    with pytest.raises(InvalidInput):
-        lanczos_paths(system, [1.0], -1)
+            lanczos_paths(system, bad)
+    for bad in (-1, np.nan, np.inf, 2.5):
+        with pytest.raises(InvalidInput, match="pls_iter"):
+            lanczos_paths(system, [1.0], bad)
     ridge, pls = lanczos_paths(gram_system(x, np.zeros(n), model), [1.0, 2.0], 10)
     assert ridge.shape == (2, model.eigenvalues.size) and not np.any(ridge)
     assert pls.shape == (1, model.eigenvalues.size) and not np.any(pls)
+
+
+def test_lanczos_paths_past_a_zero_unshifted_pivot():
+    # T_2 of this indefinite G is singular: the pivots of T_k are 1, 0 and
+    # then 2 - 1/0. The PLS iterates stop before the zero pivot, the shared
+    # pivot recurrence raises no warning (warnings are errors here), and the
+    # ridge row, from the whole space, is the dense solve's.
+    G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    (row,), pls = lanczos_paths(GramSystem(G=G, b=b, yy=1.0, n=3), [10.0], 3)
+    assert np.array_equal(pls, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert rel(row, np.linalg.solve(G + 10.0 * np.eye(3), b)) <= 1e-14
 
 
 def test_compare_ridge_columns_match_the_eigendecomposition():
@@ -528,7 +543,7 @@ def test_gram_system_is_frozen_and_validated():
         gram_fit(system, max_iter=-1)
     assert gram_fit(system, max_iter=10).m_last <= 3
     with pytest.raises(ValueError):
-        ridge_path(system, [0.0])
+        lanczos_paths(system, [0.0])
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from kernelcg import (
     holdout_select,
     lanczos_paths,
     make_model,
-    ridge_path,
     spectral_error,
     threshold_inner,
     threshold_outer,
@@ -429,10 +428,11 @@ class TestFitReplicate:
             fit = fit_replicate(cfg, n, rep)
             assert isinstance(fit.system, GramSystem)
             sample = draw_sample(model, n, seed=fit.seed)
-            n_train = fit.points.size
+            n_train = fit.system.n
+            x, y = sample.X_labeled[:n_train], sample.Y[:n_train]
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
-            ref = cg_fit(dense(model.kernel, fit.points), fit.y, max_iter=HOLDOUT_MAX_ITER)
-            cross = model.kernel.gram(x_val, fit.points)
+            ref = cg_fit(dense(model.kernel, x), y, max_iter=HOLDOUT_MAX_ITER)
+            cross = model.kernel.gram(x_val, x)
             expected = holdout_select(ref.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected, (n, rep)
 
@@ -445,11 +445,12 @@ class TestFitReplicate:
         cfg = inner_config()
         model = cfg.model()
         fit = fit_replicate(cfg, 64, 1)
-        ref = cg_fit(dense(model.kernel, fit.points), fit.y)
+        sample = draw_sample(model, 64, seed=fit.seed)
+        ref = cg_fit(dense(model.kernel, sample.X_labeled), sample.Y)
         assert discrepancy_stop(ref, fit.omega) == fit.m_hat
         alpha = ref.alphas[fit.m_hat]
         for theta in (0.0, 0.5):
-            err = error_norm(alpha, fit.points, model, theta).error_value
+            err = error_norm(alpha, sample.X_labeled, model, theta).error_value
             assert fit.squared_error(theta) == pytest.approx(err * err, rel=1e-10)
 
     @pytest.mark.parametrize("cfg", [inner_config(), outer_config()], ids=["inner", "outer"])
@@ -484,7 +485,7 @@ class TestFitReplicate:
         monkeypatch.setattr(MercerKernel, "gram", no_gram)
         fit = fit_replicate(cfg, 64, 0)
         assert sizes == []
-        assert fit.points.size == 48
+        assert fit.system.n == 48
 
     @pytest.mark.parametrize(
         "cfg, rule",
@@ -508,7 +509,7 @@ class TestFitReplicate:
     def test_holdout_split_is_checked_at_each_n(self):
         # The config checks its smallest grid point; a smaller n gets the same check.
         cfg = inner_config(holdout_fraction=0.97)
-        assert fit_replicate(cfg, 32, 0).points.size == 1
+        assert fit_replicate(cfg, 32, 0).system.n == 1
         with pytest.raises(InvalidInput, match="leaves no training data at n=16"):
             fit_replicate(cfg, 16, 0)
 
@@ -520,13 +521,15 @@ class TestFitReplicate:
         for rep in range(cfg.replicates):
             fit = fit_replicate(cfg, 64, rep)
             sample = draw_sample(model, 64, seed=fit.seed)
-            n_train = fit.points.size
+            n_train = fit.system.n
+            x, y = sample.X_labeled[:n_train], sample.Y[:n_train]
             x_val, y_val = sample.X_labeled[n_train:], sample.Y[n_train:]
-            ref = cg_fit(dense(model.kernel, fit.points), fit.y, max_iter=HOLDOUT_MAX_ITER)
-            cross = model.kernel.gram(x_val, fit.points)
+            ref = cg_fit(dense(model.kernel, x), y, max_iter=HOLDOUT_MAX_ITER)
+            cross = model.kernel.gram(x_val, x)
             expected = holdout_select(ref.alphas @ cross.T / n_train, y_val, model.noise.M)
             assert fit.m_hat == expected
             scale = np.sqrt(model.eigenvalues / n_train)
+            assert np.array_equal(fit.scale, scale)
             assert np.allclose(fit.spectrum, scale * fit.trace.alphas[fit.m_hat])
 
 
@@ -543,7 +546,7 @@ class TestCompareSolvers:
         for rec in report.records:
             fit = fit_replicate(cfg, rec.n, rec.rep)
             euclid = gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean")
-            scale = np.sqrt(model.eigenvalues / fit.points.size)
+            scale = np.sqrt(model.eigenvalues / fit.system.n)
             errs = [
                 spectral_error(scale * c, model, 0.0) ** 2 for c in euclid.alphas
             ]
@@ -583,7 +586,7 @@ class TestCompareSolvers:
         ridge_sq = error_norm(direct, x, model, 0.0).error_value ** 2
         assert ridge_sq <= 4.0 * cg_sq + 1e-12
         system = GramSystem.from_design(model.kernel, x, y)
-        (c,) = ridge_path(system, [1e-10])
+        (c,), _ = lanczos_paths(system, [1e-10])
         path_sq = spectral_error(np.sqrt(model.eigenvalues / x.size) * c, model, 0.0) ** 2
         assert path_sq <= 4.0 * cg_sq + 1e-12
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import InvalidInput, KernelMatrix, MercerKernel
+from kernelcg import GramSystem, InvalidInput, KernelMatrix, MercerKernel
 from kernelcg.kernels import COSINE_BLOCK_ROWS, SERIES_FEW_ROWS, SERIES_TILE_ROWS
 from reference import dense, quad
 
@@ -323,3 +323,15 @@ class TestSeries:
             with pytest.raises(InvalidInput):
                 kernel.series([0.5], coeffs)
         assert kernel.series([], np.ones((3, 11))).shape == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+def test_series_and_gram_system_refuse_points_outside_the_unit_interval(bad):
+    # A NaN point used to make the Gram system all NaN, so the run failed
+    # later as a NumericalFailure instead of as invalid input.
+    kernel = MercerKernel(2.0, 10)
+    x = np.array([0.0, 0.5, bad, 1.0])
+    with pytest.raises(InvalidInput, match=r"points must lie in \[0, 1\]"):
+        kernel.series(x, np.ones(11))
+    with pytest.raises(InvalidInput, match=r"points must lie in \[0, 1\]"):
+        GramSystem.from_design(kernel, x, np.ones(4))

@@ -9,7 +9,7 @@ from kernelcg import (
     cg_fit,
     gram_fit,
     krylov_oracle,
-    ridge_path,
+    lanczos_paths,
 )
 from reference import quad
 
@@ -209,29 +209,29 @@ def gram_of(K: KernelMatrix, y) -> tuple[np.ndarray, GramSystem]:
 
 
 class TestRidge:
-    """``ridge_path`` rows are B.T (K + lam I)^-1 Y, checked against dense solves."""
+    """``lanczos_paths`` ridge rows are B.T (K + lam I)^-1 Y, checked against dense solves."""
 
     def test_diag_hand_inversion(self):
         B, system = gram_of(DIAG, ONES)
-        (c,) = ridge_path(system, [1.0])
+        (c,), _ = lanczos_paths(system, [1.0])
         assert c == pytest.approx(B.T @ [0.5, 2 / 3], rel=1e-14)
 
     def test_rejects_nonpositive_lambda(self):
         _, system = gram_of(DIAG, ONES)
         with pytest.raises(InvalidInput):
-            ridge_path(system, [1.0, 0.0])
+            lanczos_paths(system, [1.0, 0.0])
         with pytest.raises(InvalidInput):
-            ridge_path(system, [-0.5])
+            lanczos_paths(system, [-0.5])
 
     def test_huge_lambda_limit(self):
         _, system = gram_of(DIAG, ONES)
-        (c,) = ridge_path(system, [1e12])
+        (c,), _ = lanczos_paths(system, [1e12])
         assert np.linalg.norm(c) <= 2 * np.linalg.norm(system.b) / 1e12
 
     def test_tiny_lambda_approaches_inverse(self):
         K, y = random_psd_system(23, 6)
         B, system = gram_of(K, y)
-        (c,) = ridge_path(system, [1e-12])
+        (c,), _ = lanczos_paths(system, [1e-12])
         assert c == pytest.approx(B.T @ np.linalg.solve(K.entries, y), rel=1e-6)
 
     def test_residual_invariant(self):
@@ -239,8 +239,36 @@ class TestRidge:
             K, y = random_psd_system(seed + 300, 10)
             B, system = gram_of(K, y)
             lam = 10.0 ** (-seed)
-            (c,) = ridge_path(system, [lam])
+            (c,), _ = lanczos_paths(system, [lam])
             resid = (system.G + lam * np.eye(10)) @ c - system.b
             assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(system.b)
             direct = np.linalg.solve(K.entries + lam * np.eye(10), y)
             assert np.linalg.norm(c - B.T @ direct) <= 1e-10 * np.linalg.norm(B.T @ direct)
+
+
+#: Each solver's iteration count, by entry point: its name and a call on
+#: DIAG and ONES (or their Gram system) returning the iterates.
+COUNTS = {
+    "cg_fit": ("max_iter", lambda system, v: cg_fit(DIAG, ONES, max_iter=v).alphas),
+    "gram_fit": ("max_iter", lambda system, v: gram_fit(system, max_iter=v).alphas),
+    "krylov_oracle": ("m", lambda system, v: krylov_oracle(DIAG, ONES, v)),
+    "lanczos_paths": ("pls_iter", lambda system, v: lanczos_paths(system, [1.0], v)[1]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, np.nan, np.inf, 2.5, True])
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_counts_are_nonnegative_whole_numbers(entry, bad):
+    # inf and NaN used to raise a bare OverflowError and ValueError, 2.5 was
+    # read as 2 and True as 1.
+    name, call = COUNTS[entry]
+    _, system = gram_of(DIAG, ONES)
+    with pytest.raises(InvalidInput, match=f"^{name} must be "):
+        call(system, bad)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_whole_float_counts_read_as_ints(entry):
+    _, call = COUNTS[entry]
+    _, system = gram_of(DIAG, ONES)
+    assert np.array_equal(call(system, 2.0), call(system, 2))
