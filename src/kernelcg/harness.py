@@ -504,7 +504,7 @@ def fit_replicate(cfg: ExperimentConfig, n: int, rep: int) -> ReplicateFit:
         m_hat = holdout_select(predictions, y_val, model.noise.M)
     else:
         omega = _threshold_for(cfg, n)
-        trace = gram_fit(system, stop=lambda m, res, c: res < omega)
+        trace = gram_fit(system, omega=omega)
         m_hat = discrepancy_stop(trace, omega)
     return ReplicateFit(model, n, rep, sample.seed, system, trace, m_hat, omega, scale)
 

@@ -115,7 +115,11 @@ class MercerKernel:
             raise InvalidInput(
                 f"decay_exponent must exceed 1, got {self.decay_exponent}"
             )
-        if int(self.truncation) != self.truncation or self.truncation < 1:
+        try:
+            whole = int(self.truncation) == self.truncation
+        except (OverflowError, TypeError, ValueError):  # inf, None, NaN
+            whole = False
+        if not whole or self.truncation < 1:
             raise InvalidInput(
                 f"truncation must be a positive integer, got {self.truncation}"
             )
@@ -170,8 +174,11 @@ class MercerKernel:
         return out.T.reshape(coeffs.shape[:-1] + (x.size,))
 
     def basis(self, points) -> np.ndarray:
-        """Eigenfunction matrix with shape (len(points), truncation + 1)."""
-        x = np.asarray(points, dtype=float).ravel()
+        """Eigenfunction matrix with shape (len(points), truncation + 1).
+
+        Raises InvalidInput unless every point lies in [0, 1].
+        """
+        x = _check_points(np.asarray(points, dtype=float).ravel())
         j = np.arange(self.truncation + 1, dtype=float)
         # One array, updated in place: each fresh n x modes temporary costs
         # new pages. Same operations as sqrt(2) * cos(pi * outer(x, j)).
@@ -211,9 +218,6 @@ class GramSystem:
         Gram matrix B.T @ B.
     b : ndarray, shape (modes,)
         Projected response B.T @ Y.
-    yy : float
-        Y @ Y, finite and nonnegative, which the Euclidean residual needs
-        besides G and b.
     n : int
         Number of rows of B, a positive integer; residual norms are
         rescaled by it, as in ``cg_fit``.
@@ -224,7 +228,6 @@ class GramSystem:
 
     G: np.ndarray
     b: np.ndarray
-    yy: float
     n: int
     copy: InitVar[bool] = True
 
@@ -238,8 +241,6 @@ class GramSystem:
             )
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 <= self.yy < math.inf:  # NaN fails both
-            raise InvalidInput(f"yy must be finite and nonnegative, got {self.yy!r}")
         G.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "G", G)
@@ -255,7 +256,7 @@ class GramSystem:
         cos((j - k) pi x) + cos((j + k) pi x), Phi.T Phi is a Toeplitz plus a
         Hankel matrix in S_l = sum_i cos(l pi x_i), l = 0..2J, with sqrt(2) S_k
         on the constant mode's row and column, and Phi.T Y needs
-        P_j = sum_i y_i cos(j pi x_i). These moments and Y.Y are summed over
+        P_j = sum_i y_i cos(j pi x_i). These moments are summed over
         blocks of ``COSINE_BLOCK_ROWS`` points in a fixed order, so the sums do
         not depend on the BLAS thread count; a block whose responses are all
         zero, as the outer regime's unlabeled points are, adds to S alone. The
@@ -278,7 +279,7 @@ class GramSystem:
         # numbers a point) within half of G's bytes, and at least one.
         block_bytes = (height + width) * 16 * COSINE_BLOCK_ROWS
         chunk = max((J + 1) ** 2 * 8 // 2 // block_bytes, 1) * COSINE_BLOCK_ROWS
-        S, P, yy = np.zeros((height, width)), np.zeros((p_rows, width)), 0.0
+        S, P = np.zeros((height, width)), np.zeros((p_rows, width))
         for start, za, zk in _cosine_blocks(x, 2 * J, chunk=chunk):
             yc = y[start : start + za.shape[1]]
             zk = zk.view(float).T
@@ -287,7 +288,6 @@ class GramSystem:
                 za = za[:p_rows]
                 za *= yc
                 P += za.view(float) @ zk
-                yy += float(yc @ yc)
         del za, zk  # frees the power buffers before G is allocated
         S = S.ravel()[: 2 * J + 1]
         P = P.ravel()[: J + 1]
@@ -304,7 +304,7 @@ class GramSystem:
             G[i : i + GRAM_SCALE_ROWS] *= np.outer(w[i : i + GRAM_SCALE_ROWS], w)
         phi_y = np.sqrt(2.0) * P
         phi_y[0] = P[0]
-        return cls(G=G, b=w * phi_y, yy=yy, n=y.size, copy=False)
+        return cls(G=G, b=w * phi_y, n=y.size, copy=False)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ and the power p:
     call                        A   p   minimizes over alpha in K_m(K, Y)
     cg_fit(K, Y, "kn_norm")     K   1   |Y - K alpha| in the kernel norm
     cg_fit(K, Y, "euclidean")   K   0   |Y - K alpha| (kernel PLS)
-    gram_fit(G, "kn_norm")      G   0   the same as cg_fit "kn_norm"
-    gram_fit(G, "euclidean")    G  -1   the same as cg_fit "euclidean"
+    gram_fit(G)                 G   0   the same as cg_fit "kn_norm"
 
 The recursion reorthogonalizes every new direction against all earlier ones,
 so late iterates do not depend on rounding.
@@ -19,10 +18,10 @@ For a finite-rank kernel K = B B.T every residual, error and prediction
 depends on alpha only through c = B.T alpha, and alpha lies in K_m(K, Y)
 exactly when c lies in K_m(G, b), with G = B.T B and b = B.T Y
 (``kernels.GramSystem``). The kernel-norm residual is |b - G c|, power 0 on
-G; the squared Euclidean one, Y.Y - 2 b.c + c.G c, is the squared power -1
-norm of b - G c plus a constant. So ``gram_fit`` runs both modes at
-O(modes^2) per step, whatever n is. ``lanczos_paths`` gives a whole ridge
-grid and the kernel-PLS iterates from one Lanczos run on (G, b).
+G, so ``gram_fit`` runs the weighted mode at O(modes^2) per step, whatever n
+is. The Euclidean residual is, up to a constant, the power -1 norm of
+b - G c, minimized by plain CG on G c = b: ``lanczos_paths`` gives those
+kernel-PLS iterates and a whole ridge grid from one Lanczos run on (G, b).
 ``krylov_oracle`` solves the CG minimizations by explicit basis construction
 and dense least squares, independently of the recursion. No subcommand runs
 ``cg_fit`` or ``krylov_oracle``: they are the dense reference that the tests
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -134,40 +133,30 @@ def cg_fit(K: KernelMatrix, Y, max_iter: int | None = None, mode: Mode = "kn_nor
     rank below n: the n-vectors carry the part of Y outside the range of K,
     which dwarfs the reachable residual. On the J = 120 cosine spectra from
     n of about 500, alpha_m's spectral coefficients are off by up to about
-    1e-4 relative past m of about 50, where ``gram_fit`` stays within 3.3e-12
-    of the minimizer; in the ``kn_norm`` mode the two agree to about 5e-8.
+    1e-4 relative past m of about 50, while the Gram-space iterates, which
+    carry no such part, stay close to it; in the ``kn_norm`` mode ``cg_fit``
+    and ``gram_fit`` agree to about 5e-8.
     """
     _check_mode(mode)
     y = _check_system(K, Y)
-    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0, None)
+    return _recursion(K.matvec, y, K.n, max_iter, 1 if mode == "kn_norm" else 0)
 
 
-def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
-    """The CG loop behind ``cg_fit`` and ``gram_fit``; ``power`` is the module's p.
+def _recursion(matvec, y, n, max_iter, power, omega=None) -> CgTrace:
+    """The CG loop behind ``cg_fit`` and ``gram_fit``; ``power`` is the module's p, 1 or 0.
 
-    A is applied by ``matvec``, and power is 1, 0 or -1. The directions come
-    in pairs d_j and t_j = A d_j, the t_j orthonormal in <u, v> =
-    u.T A^power v / n. For power >= 0, A r and A t are carried along by
-    linearity and the residual norm is sqrt(<r, r>). For power -1,
-    A^-1 t = d, so nothing more is carried: t is recomputed as A d after the
-    reorthogonalization (carrying it drifts), and the norm recorded is the
-    Euclidean residual of the n-row problem, sqrt((yy - 2 y.x + x.A x) / n),
-    with ``yy`` = Y.Y. ``max_iter`` is capped at n.
+    A is applied by ``matvec``. The directions come in pairs d_j and
+    t_j = A d_j, the t_j orthonormal in <u, v> = u.T A^power v / n; A r and
+    A t are carried along by linearity, and the residual norm is
+    sqrt(<r, r>). ``max_iter`` is capped at n. With ``omega`` the run ends at
+    the first recorded residual norm below it, iterate 0 included.
     """
     max_iter = n if max_iter is None else min(_count("max_iter", max_iter), n)
-    carry = power >= 0
-
-    def residual_sq(x: np.ndarray, r: np.ndarray, kr: np.ndarray | None) -> float:
-        if carry:
-            return (r @ (kr if power == 1 else r)) / n
-        return (yy - 2.0 * float(y @ x) + float(x @ matvec(x))) / n
 
     x = np.zeros(y.size)
     r, d = y.copy(), y.copy()
-    kr = kt = None
-    if carry:
-        kr = matvec(r)
-        t = kr.copy()  # t = A @ d throughout
+    kr = matvec(r)
+    t = kr.copy()  # t = A @ d throughout
 
     # The k normalized directions so far: dirs[0, j] = d_j, dirs[1, j] = t_j
     # and, at power 1, dirs[2, j] = A t_j.
@@ -175,19 +164,16 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
     k = 0
 
     xs = [x.copy()]
-    residual_norms = [float(np.sqrt(max(residual_sq(x, r, kr) if carry else yy / n, 0.0)))]
+    residual_norms = [float(np.sqrt(max((r @ (kr if power == 1 else r)) / n, 0.0)))]
     breakdown_at: int | None = None
     break_floor: float | None = None
-    if stop is not None and stop(0, residual_norms[0], x):
+    if omega is not None and residual_norms[0] < omega:
         max_iter = 0
 
     for i in range(1, max_iter + 1):
-        if carry:
-            kt = matvec(t)
-        else:
-            t = matvec(d)
+        kt = matvec(t)
         # w = A^power t, so <u, t> = u @ w / n.
-        w = (d, t, kt)[power + 1]
+        w = kt if power == 1 else t
         s = float(np.sqrt(max((t @ w) / n, 0.0)))
         if not np.isfinite(s):
             raise NumericalFailure(f"non-finite basis norm at iteration {i}", iteration=i)
@@ -199,8 +185,7 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
 
         t /= s
         d /= s
-        if carry:
-            kt /= s
+        kt /= s
         if k == dirs.shape[1]:
             # Capacity doubles with the iterations actually run, from a size
             # independent of max_iter, so a stopped run grows like a full one;
@@ -220,8 +205,8 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
             raise NumericalFailure(f"non-finite projection at iteration {i}", iteration=i)
         x_new = x + gamma * d
         r_new = r - gamma * t
-        kr_new = kr - gamma * kt if carry else None
-        res_sq = residual_sq(x_new, r_new, kr_new)
+        kr_new = kr - gamma * kt
+        res_sq = (r_new @ (kr_new if power == 1 else r_new)) / n
 
         if res_sq < 0.0 or np.sqrt(res_sq) > residual_norms[-1]:
             # A negative weighted square or no progress: the basis has
@@ -233,54 +218,43 @@ def _recursion(matvec, y, n, max_iter, power, stop, yy=None) -> CgTrace:
 
         xs.append(x.copy())
         residual_norms.append(float(np.sqrt(res_sq)))
-        if stop is not None and stop(i, residual_norms[-1], x):
+        if omega is not None and residual_norms[-1] < omega:
             break
 
-        # beta = <A r, t>, which at power -1 is r @ t. Dropping w frees now
-        # the d or t it may hold, which the next lines replace.
-        beta = float(w @ kr) / n if carry else float(t @ r) / n
+        # beta = <A r, t>. Dropping w frees now the t or A t it may hold,
+        # which the next lines replace.
+        beta = float(w @ kr) / n
         del w
         d = r - beta * d
-        if carry:
-            t = kr - beta * t  # equals A @ d by linearity
+        t = kr - beta * t  # equals A @ d by linearity
         # Full reorthogonalization: two Gram-Schmidt passes against every
-        # stored direction in the mode's inner product. <t, t_j> is
-        # dirs[-1, j] @ t / n, or at power -1 dirs[1, j] @ d / n. The same
-        # coefficients come off d and t, so t = A @ d still holds.
+        # stored direction in the mode's inner product, <t, t_j> =
+        # dirs[-1, j] @ t / n. The same coefficients come off d and t, so
+        # t = A @ d still holds.
         for _ in range(2):
-            c = dirs[-1, :k] @ (t if carry else d) / n
+            c = dirs[-1, :k] @ t / n
             d -= c @ dirs[0, :k]
-            if carry:
-                t -= c @ dirs[1, :k]
+            t -= c @ dirs[1, :k]
 
     return CgTrace(np.array(xs), residual_norms, breakdown_at, n)
 
 
 def gram_fit(
-    system: GramSystem,
-    max_iter: int | None = None,
-    mode: Mode = "kn_norm",
-    stop: Callable[[int, float, np.ndarray], bool] | None = None,
+    system: GramSystem, max_iter: int | None = None, omega: float | None = None
 ) -> CgTrace:
-    """``cg_fit`` on the factor's column space: row m of the trace is c_m = B.T alpha_m.
+    """``cg_fit``'s ``kn_norm`` run on the factor's column space: row m is c_m = B.T alpha_m.
 
-    Takes ``cg_fit``'s budget (capped at n, the rows of B), breakdown rules
-    and reorthogonalization, and records the same residual norms. ``stop``,
-    if given, is called as ``stop(m, residual_norm, c_m)`` on iterate 0 and
-    after every recorded iterate, and the run ends at the first True; the
-    recursion does not change, so a stopped trace is a bit-exact prefix of
-    the full one. Both modes are ``_recursion`` on G c = b, at O(modes^2)
-    per step whatever n is:
-
-    - ``kn_norm``, power 0: minimizes |b - G c| = |B.T (Y - K alpha)| over
-      c in K_m(G, b) (the conjugate-residual method on G), one product with G
-      per step;
-    - ``euclidean``, power -1: plain CG on G c = b (kernel PLS), recording
-      sqrt((Y.Y - 2 b.c + c.G c) / n), two products with G per step.
+    ``_recursion`` at power 0 on G c = b, the conjugate-residual method on G:
+    c_m minimizes |b - G c| = |B.T (Y - K alpha)| over K_m(G, b), at one
+    product with G, O(modes^2), per step whatever n is. Takes ``cg_fit``'s
+    budget (capped at n, the rows of B), breakdown rules and
+    reorthogonalization, and records the same residual norms. With ``omega``
+    the run ends at the first recorded residual norm below it, iterate 0
+    included; the recursion does not change, so a stopped trace is a
+    bit-exact prefix of the full one.
     """
-    _check_mode(mode)
-    G, power = system.G, 0 if mode == "kn_norm" else -1
-    return _recursion(lambda v: G @ v, system.b, system.n, max_iter, power, stop, system.yy)
+    G = system.G
+    return _recursion(lambda v: G @ v, system.b, system.n, max_iter, 0, omega)
 
 
 def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndarray:
@@ -363,10 +337,11 @@ def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarr
     s = lam_i, whose residual over |b| is the product of beta_j / |pi_j|. The
     run stops once every such residual is at most ``RIDGE_RTOL`` and
     ``pls_iter`` steps are done, or when the space is exhausted (beta_k at
-    most ``BREAKDOWN_RTOL`` of |G q_1|, or k at the modes). The c_m are
-    ``gram_fit``'s ``euclidean`` iterates by other arithmetic. No eigensolver
-    runs, but from about 128 steps at J = 400 the closing BLAS products with
-    Q_k vary in their last bits with the thread count.
+    most ``BREAKDOWN_RTOL`` of |G q_1|, or k at the modes). The c_m are plain
+    CG's on G c = b: B.T alpha_m for ``cg_fit``'s ``euclidean`` (kernel PLS)
+    iterates alpha_m. No eigensolver runs, but from about 128 steps at
+    J = 400 the closing BLAS products with Q_k vary in their last bits with
+    the thread count.
 
     Returns ``(ridge, pls)``: shapes (len(lams), modes) and (m + 1, modes),
     rows c_0 = 0 .. c_m with m = min(pls_iter, n, steps), cut before a pivot

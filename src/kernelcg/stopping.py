@@ -58,22 +58,23 @@ class ThresholdParams:
     rho: float | None = None
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise InvalidInput(f"M must be positive, got {self.M}")
-        if not self.kappa > 0:
-            raise InvalidInput(f"kappa must be positive, got {self.kappa}")
-        if not self.D >= 1:
-            raise InvalidInput(f"D must be at least 1, got {self.D}")
-        if not self.n >= 1:
-            raise InvalidInput(f"n must be a positive integer, got {self.n}")
+        # Each float must be finite; NaN fails every comparison.
+        if not 0 < self.M < math.inf:
+            raise InvalidInput(f"M must be positive and finite, got {self.M}")
+        if not 0 < self.kappa < math.inf:
+            raise InvalidInput(f"kappa must be positive and finite, got {self.kappa}")
+        if not 1 <= self.D < math.inf:
+            raise InvalidInput(f"D must be at least 1 and finite, got {self.D}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
         if not 0 < self.gamma < 1:
             raise InvalidInput(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.r > 0:
-            raise InvalidInput(f"r must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise InvalidInput(f"r must be positive and finite, got {self.r}")
         if not 0 < self.s < 1:
             raise InvalidInput(f"s must lie in (0, 1), got {self.s}")
-        if self.rho is not None and not self.rho > 0:
-            raise InvalidInput(f"rho must be positive, got {self.rho}")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise InvalidInput(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.tau_prime < math.inf:
             raise InvalidInput(f"tau_prime must be positive and finite, got {self.tau_prime}")
 

@@ -252,7 +252,12 @@ def make_model(
 
 
 def padded_total(n: int, r: float, s: float) -> int:
-    """Total design size for semi-supervised draws: ceil(n ** ((1+s)/(2r+s)))."""
+    """Total design size for semi-supervised draws: ceil(n ** ((1+s)/(2r+s))).
+
+    Raises InvalidInput unless n is a positive integer.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInput(f"n must be a positive integer, got {n!r}")
     return max(n, math.ceil(n ** ((1.0 + s) / (2.0 * r + s))))
 
 

@@ -8,7 +8,8 @@ system from the basis matrix, the reference for ``GramSystem.from_design``.
 chunked the cosine powers and skipped blocks of zero responses: the same
 moments, one block of powers at a time, every block's responses multiplied
 in, and G scaled by one full outer product, bit for bit the same system.
-``ridge_eigh`` is the ridge path from an eigendecomposition of G.
+``ridge_eigh`` is the ridge path from an eigendecomposition of G, and
+``plain_cg`` the kernel-PLS iterates from plain CG on G c = b.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kernelcg import GramSystem, KernelMatrix, MercerKernel
+from kernelcg import CgTrace, GramSystem, KernelMatrix, MercerKernel, NumericalFailure
 from kernelcg.kernels import _cosine_blocks
+from kernelcg.solvers import BREAKDOWN_RTOL
 
 
 def dense(kernel: MercerKernel, x) -> KernelMatrix:
@@ -47,7 +49,7 @@ def from_basis(kernel: MercerKernel, x, y) -> GramSystem:
     w = np.sqrt(kernel.eigenvalues() / y.size)
     G = phi.T @ phi
     G *= np.outer(w, w)
-    return GramSystem(G=G, b=w * (phi.T @ y), yy=float(y @ y), n=y.size)
+    return GramSystem(G=G, b=w * (phi.T @ y), n=y.size)
 
 
 def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
@@ -55,7 +57,7 @@ def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     J = kernel.truncation
-    S = P = yy = 0.0
+    S = P = 0.0
     for start, za, zk in _cosine_blocks(x, 2 * J):
         yc = y[start : start + za.shape[1]]
         za_p = za[: J // len(zk) + 1]
@@ -63,7 +65,6 @@ def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
         S = S + za.view(float) @ zk
         za_p *= yc
         P = P + za_p.view(float) @ zk
-        yy += float(yc @ yc)
     S = S.ravel()[: 2 * J + 1]
     P = P.ravel()[: J + 1]
     toeplitz = sliding_window_view(np.concatenate((S[J:0:-1], S[: J + 1])), J + 1)[::-1]
@@ -75,7 +76,7 @@ def from_moments(kernel: MercerKernel, x, y) -> GramSystem:
     G *= np.outer(w, w)
     phi_y = np.sqrt(2.0) * P
     phi_y[0] = P[0]
-    return GramSystem(G=G, b=w * phi_y, yy=yy, n=y.size)
+    return GramSystem(G=G, b=w * phi_y, n=y.size)
 
 
 def ridge_eigh(system: GramSystem, lams) -> np.ndarray:
@@ -86,3 +87,67 @@ def ridge_eigh(system: GramSystem, lams) -> np.ndarray:
     np.maximum(mu, 0.0, out=mu)
     vtb = v.T @ system.b
     return np.array([v @ (vtb / (mu + lam)) for lam in lams]).reshape(len(lams), -1)
+
+
+def plain_cg(system: GramSystem, yy: float, max_iter: int) -> CgTrace:
+    """Plain CG on G c = b, the kernel-PLS iterates c_m = B.T alpha_m, as
+    ``gram_fit(mode="euclidean")`` ran them before ``lanczos_paths`` took them
+    over: the solvers' recursion at power -1, with ``yy`` = Y.Y.
+
+    The directions d_j and t_j = G d_j have t_j orthonormal in
+    <u, v> = u.T G^-1 v / n, so <u, t_j> = u @ d_j / n. t is recomputed as
+    G d after the reorthogonalization (carrying it drifts), and the norm
+    recorded is the Euclidean residual of the n-row problem,
+    sqrt((yy - 2 b.c + c.G c) / n). The budget is capped at n, and the run
+    ends as the solvers' recursion does: at a direction norm of
+    ``BREAKDOWN_RTOL`` of the first, or at a step that does not lower the
+    residual, which is not recorded.
+    """
+    G, y, n = system.G, system.b, system.n
+    max_iter = min(max_iter, n)
+    x = np.zeros(y.size)
+    r, d = y.copy(), y.copy()
+    dirs = np.empty((2, 8, y.size))  # dirs[0, j] = d_j, dirs[1, j] = t_j
+    k = 0
+    xs = [x.copy()]
+    residual_norms = [float(np.sqrt(max(yy / n, 0.0)))]
+    breakdown_at = None
+    break_floor = None
+    for i in range(1, max_iter + 1):
+        t = G @ d
+        s = float(np.sqrt(max((t @ d) / n, 0.0)))
+        if not np.isfinite(s):
+            raise NumericalFailure(f"non-finite basis norm at iteration {i}", iteration=i)
+        if break_floor is None:
+            break_floor = BREAKDOWN_RTOL * s
+        if s <= break_floor:
+            breakdown_at = i
+            break
+        t /= s
+        d /= s
+        if k == dirs.shape[1]:
+            grown = np.empty((2, min(2 * k, max_iter), y.size))
+            grown[:, :k] = dirs
+            dirs = grown
+        dirs[:, k] = (d, t)
+        k += 1
+
+        gamma = float(r @ d) / n
+        if not np.isfinite(gamma):
+            raise NumericalFailure(f"non-finite projection at iteration {i}", iteration=i)
+        x_new = x + gamma * d
+        r_new = r - gamma * t
+        res_sq = (yy - 2.0 * float(y @ x_new) + float(x_new @ (G @ x_new))) / n
+        if res_sq < 0.0 or np.sqrt(res_sq) > residual_norms[-1]:
+            breakdown_at = i
+            break
+        x, r = x_new, r_new
+        xs.append(x.copy())
+        residual_norms.append(float(np.sqrt(res_sq)))
+
+        beta = float(t @ r) / n
+        d = r - beta * d
+        for _ in range(2):
+            c = dirs[1, :k] @ d / n
+            d -= c @ dirs[0, :k]
+    return CgTrace(np.array(xs), residual_norms, breakdown_at, n)

@@ -1,5 +1,6 @@
 """Every script under demos/, and every Python block of the README, runs to
-completion against the current API."""
+completion against the current API, with a RuntimeWarning (an overflow, a
+division by zero or an invalid value) as an error, as in every other test."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def test_demo_runs(args, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=ROOT if args[0] == "-c" else tmp_path,
         env=env,
         capture_output=True,

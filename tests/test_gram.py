@@ -3,12 +3,13 @@
 Every replicate runs on the (J+1) x (J+1) ``GramSystem`` of the cosine
 kernel, built from cosine moments of the design (``GramSystem.from_design``).
 That build is checked entry by entry against ``reference.from_basis``, the
-same system formed from the basis matrix. The solvers (``gram_fit``,
-``lanczos_paths``) are checked against ``cg_fit`` on the dense
-``KernelMatrix`` (``reference.dense``), against dense solves, the
-eigendecomposition route ``reference.ridge_eigh`` and an explicit-basis
-minimizer; ``cg_fit`` itself is checked against ``krylov_oracle``. Points
-are uniform draws, spectra those of the shipped configs.
+same system formed from the basis matrix. ``gram_fit`` is checked against
+``cg_fit`` on the dense ``KernelMatrix`` (``reference.dense``);
+``lanczos_paths`` against dense solves, the eigendecomposition route
+``reference.ridge_eigh``, plain CG on the Gram system (``reference.plain_cg``)
+and an explicit-basis minimizer; ``cg_fit`` itself is checked against
+``krylov_oracle``. Points are uniform draws, spectra those of the shipped
+configs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from kernelcg import (
 )
 from kernelcg.harness import ExperimentConfig, compare_solvers, fit_replicate
 from kernelcg.kernels import COSINE_BLOCK_ROWS, _cosine_blocks
-from reference import dense, factor, from_basis, from_moments, quad, ridge_eigh
+from reference import dense, factor, from_basis, from_moments, plain_cg, quad, ridge_eigh
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 SHIPPED = {
@@ -69,23 +70,19 @@ cases = st.tuples(
 
 # The stop only ends the loop; the recursion is untouched, so the stopped
 # trace must be the unstopped one cut at its stop, bit for bit. The Gram
-# system's runs are those of compare's PLS run and of hold-out; on the
+# system's runs are those of the discrepancy rule and of hold-out; on the
 # J=120 and J=400 spectra its traces have more columns than the n <= 300
 # rows, so discrepancy_stop must read the trace's n.
 @settings(max_examples=25, deadline=None)
-@given(
-    cases.filter(lambda c: c[1] <= 300),
-    st.sampled_from(["kn_norm", "euclidean"]),
-    st.floats(-4.0, 0.2),
-)
-def test_stopped_trace_is_a_prefix_of_the_full_run(case, mode, log_scale):
+@given(cases.filter(lambda c: c[1] <= 300), st.floats(-4.0, 0.2))
+def test_stopped_trace_is_a_prefix_of_the_full_run(case, log_scale):
     name, n, seed = case
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
     system = gram_system(x, y, model)
-    full = gram_fit(system, mode=mode)
+    full = gram_fit(system)
     omega = 10.0**log_scale * full.residual_norms[0]
-    stopped = gram_fit(system, mode=mode, stop=lambda m, res, c: res < omega)
+    stopped = gram_fit(system, omega=omega)
     m = stopped.m_last
     assert np.array_equal(stopped.alphas, full.alphas[: m + 1])
     assert np.array_equal(stopped.residual_norms, full.residual_norms[: m + 1])
@@ -127,15 +124,14 @@ def test_oracle_on_dense_matrix_matches_cg(case, mode):
 # discrepancy_stop returns its last index even when no residual beats omega.
 # A gram_fit trace has a column per mode, here 121 against n = 12 rows. Near
 # the full space either run may instead break down a step early (in up to
-# 37% of 200 draws, by run and mode), which also ends in its last index.
-@pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
-def test_exhausted_gram_trace_stops_where_cg_fit_stops(mode):
+# 37% of 200 draws), which also ends in its last index.
+def test_exhausted_gram_trace_stops_where_cg_fit_stops():
     model = SHIPPED["inner_small"]
     both_full = 0
     for seed in range(10):
         x, y = draw(12, seed, model)
-        ref = cg_fit(dense(model.kernel, x), y, mode=mode)
-        fast = gram_fit(gram_system(x, y, model), mode=mode)
+        ref = cg_fit(dense(model.kernel, x), y)
+        fast = gram_fit(gram_system(x, y, model))
         assert discrepancy_stop(fast, 1e-300) == fast.m_last
         assert discrepancy_stop(ref, 1e-300) == ref.m_last
         for trace in (ref, fast):
@@ -146,53 +142,20 @@ def test_exhausted_gram_trace_stops_where_cg_fit_stops(mode):
     assert both_full >= 3
 
 
-def krylov_minimizers(system: GramSystem, m_max: int, mode: str) -> list[np.ndarray]:
-    """Exact minimizers over K_m(G, b), m = 0..m_max, by an explicit
-    orthonormal basis and a dense solve; independent of any recursion."""
-    G, b = system.G, system.b
-    cols: list[np.ndarray] = []
-    out = [np.zeros(b.size)]
-    v = b
-    for _ in range(m_max):
-        w = v.copy()
-        for _ in range(2):
-            for q in cols:
-                w -= (q @ w) * q
-        cols.append(w / np.linalg.norm(w))
-        v = G @ cols[-1]
-        u = np.column_stack(cols)
-        if mode == "euclidean":
-            out.append(u @ np.linalg.solve(u.T @ G @ u, u.T @ b))
-        else:
-            out.append(u @ np.linalg.lstsq(G @ u, b, rcond=None)[0])
-    return out
-
-
 # gram_fit's row c_m must equal B.T alpha_m from cg_fit on the dense matrix,
-# at every m <= min(64, n/2) both reach. Largest gaps over 400 draws of 64 to
-# 1600 points: 4.5e-8 in kn_norm mode, and 1.6e-9 in euclidean mode on the
-# J=400 spectra. On the J=120 spectra from about n=500, cg_fit's Euclidean
-# recursion drifts from the exact Krylov minimizer by up to 9.4e-5 (its
-# n-vectors carry the part of Y outside the range of K, which has rank
-# J+1 < n and dwarfs the reachable residual), while gram_fit stays within
-# 2.9e-13 of it; there the test checks gram_fit against the explicit-basis
-# minimizer instead. Both runs reach the rounding floor on the J=120 spectra
-# at large n and may then end a few steps apart (up to 7 in 400 draws); the
-# extra steps lower the residual by at most 4.5e-9 of its start.
+# at every m <= min(64, n/2) both reach: the largest gap over 400 draws of 64
+# to 1600 points was 4.5e-8. Both runs reach the rounding floor on the J=120
+# spectra at large n and may then end a few steps apart (up to 7 in 400
+# draws); the extra steps lower the residual by at most 4.5e-9 of its start.
 @settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(MODEL_NAMES),
-    st.integers(64, 1600),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["kn_norm", "euclidean"]),
-)
-def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
+@given(st.sampled_from(MODEL_NAMES), st.integers(64, 1600), st.integers(0, 2**32 - 1))
+def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed):
     model = SHIPPED[name]
     x, y = draw(n, seed, model)
     system = gram_system(x, y, model)
     budget = min(64, n // 2)
-    ref = cg_fit(dense(model.kernel, x), y, max_iter=budget, mode=mode)
-    fast = gram_fit(system, max_iter=budget, mode=mode)
+    ref = cg_fit(dense(model.kernel, x), y, max_iter=budget)
+    fast = gram_fit(system, max_iter=budget)
     if fast.m_last != ref.m_last:
         short, long = sorted((fast, ref), key=lambda t: t.m_last)
         assert short.breakdown_at == short.m_last + 1
@@ -200,16 +163,8 @@ def test_gram_fit_matches_cg_fit_on_the_dense_matrix(name, n, seed, mode):
         assert extra <= 1e-7 * long.residual_norms[0], (short.m_last, long.m_last)
     common = min(fast.m_last, ref.m_last)
     ref_c = ref.alphas[: common + 1] @ factor(x, model)
-    exact = None
     for m in range(1, common + 1):
-        gap = rel(fast.alphas[m], ref_c[m])
-        if mode == "euclidean" and gap > 1e-7:
-            if exact is None:
-                exact = krylov_minimizers(system, common, mode)
-            assert rel(ref_c[m], exact[m]) > 1e-8, m
-            assert rel(fast.alphas[m], exact[m]) <= 1e-10, m
-        else:
-            assert gap <= 1e-7, m
+        assert rel(fast.alphas[m], ref_c[m]) <= 1e-7, m
     assert fast.residual_norms[: common + 1] == pytest.approx(
         ref.residual_norms[: common + 1], rel=1e-6, abs=1e-8 * ref.residual_norms[0]
     )
@@ -262,18 +217,37 @@ def test_lanczos_paths_ridge_next_to_a_design_of_modes_points(name, side):
             assert rel(c, direct) <= 1e-9, lam
 
 
-# The Lanczos run's unshifted iterates c_m = |b| Q_m T_m^-1 e_1 are gram_fit's
-# euclidean iterates by other arithmetic, compared at every m both reach.
-# Largest gap over 450 draws of the shipped models on both sides of n = J+1:
-# 4.1e-9. Where gram_fit's run ends at its rounding floor, the Lanczos run
-# may go on to the exhausted space (in 44 of those draws);
+def krylov_minimizers(system: GramSystem, m_max: int) -> list[np.ndarray]:
+    """Exact plain-CG minimizers over K_m(G, b), m = 0..m_max, by an explicit
+    orthonormal basis and a dense solve; independent of any recursion."""
+    G, b = system.G, system.b
+    cols: list[np.ndarray] = []
+    out = [np.zeros(b.size)]
+    v = b
+    for _ in range(m_max):
+        w = v.copy()
+        for _ in range(2):
+            for q in cols:
+                w -= (q @ w) * q
+        cols.append(w / np.linalg.norm(w))
+        v = G @ cols[-1]
+        u = np.column_stack(cols)
+        out.append(u @ np.linalg.solve(u.T @ G @ u, u.T @ b))
+    return out
+
+
+# The Lanczos run's unshifted iterates c_m = |b| Q_m T_m^-1 e_1 are plain CG's
+# on G c = b (``reference.plain_cg``) by other arithmetic, compared at every m
+# both reach. Largest gap over 450 draws of the shipped models on both sides
+# of n = J+1: 4.1e-9. Where plain CG ends at its rounding floor, the Lanczos
+# run may go on to the exhausted space (in 44 of those draws);
 # at that last step G restricted to the space has condition number up to
 # about 1e13, and the explicit-basis minimizer is no reference there. Any
 # common iterate where the two differ by more than 1e-7 is checked against
-# the explicit-basis minimizer, as for gram_fit above.
+# the explicit-basis minimizer instead.
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(MODEL_NAMES), st.booleans(), st.integers(0, 2**32 - 1))
-def test_lanczos_pls_iterates_match_gram_fit(name, wide, seed):
+def test_lanczos_pls_iterates_match_plain_cg(name, wide, seed):
     model = SHIPPED[name]
     modes = model.eigenvalues.size
     rng = np.random.default_rng(seed)
@@ -282,7 +256,7 @@ def test_lanczos_pls_iterates_match_gram_fit(name, wide, seed):
     system = gram_system(x, y, model)
     budget = min(64, n)
     ridge, pls = lanczos_paths(system, [model.kappa], budget)
-    ref = gram_fit(system, max_iter=budget, mode="euclidean")
+    ref = plain_cg(system, float(y @ y), budget)
     assert ridge.shape == (1, modes)
     assert not np.any(pls[0])
     assert len(pls) - 1 == ref.m_last or (len(pls) - 1 > ref.m_last and ref.breakdown_at)
@@ -291,7 +265,7 @@ def test_lanczos_pls_iterates_match_gram_fit(name, wide, seed):
         if rel(pls[m], ref.alphas[m]) <= 1e-7:
             continue
         if exact is None:
-            exact = krylov_minimizers(system, ref.m_last, "euclidean")
+            exact = krylov_minimizers(system, ref.m_last)
         assert rel(pls[m], exact[m]) <= 1e-10, m
 
 
@@ -324,7 +298,7 @@ def test_lanczos_paths_past_a_zero_unshifted_pivot():
     # ridge row, from the whole space, is the dense solve's.
     G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
     b = np.array([1.0, 0.0, 0.0])
-    (row,), pls = lanczos_paths(GramSystem(G=G, b=b, yy=1.0, n=3), [10.0], 3)
+    (row,), pls = lanczos_paths(GramSystem(G=G, b=b, n=3), [10.0], 3)
     assert np.array_equal(pls, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert rel(row, np.linalg.solve(G + 10.0 * np.eye(3), b)) <= 1e-14
 
@@ -394,8 +368,7 @@ def assert_matches_basis(kernel: MercerKernel, x, y) -> None:
     fast, ref = GramSystem.from_design(kernel, x, y), from_basis(kernel, x, y)
     diag = np.maximum(np.diag(ref.G), kernel.eigenvalues())
     assert np.all(np.abs(fast.G - ref.G) <= 1e-12 * np.sqrt(np.outer(diag, diag)))
-    assert np.all(np.abs(fast.b - ref.b) <= 1e-12 * np.sqrt(diag * ref.yy))
-    assert fast.yy == pytest.approx(ref.yy, rel=1e-13)
+    assert np.all(np.abs(fast.b - ref.b) <= 1e-12 * np.sqrt(diag * float(y @ y)))
     assert fast.n == ref.n
     assert np.array_equal(fast.G, fast.G.T)
 
@@ -449,15 +422,14 @@ def test_gram_system_from_design_is_the_outer_product_build_bit_for_bit(J, desig
     # powers come a chunk of whole blocks at a time (512 points at J = 400, one
     # block at J = 40), and a block whose responses are all zero adds to S
     # alone. None of it may move a bit, wherever the zero blocks sit; with no
-    # nonzero response at all, b and Y.Y are zero.
+    # nonzero response at all, b is zero.
     x, y = edge_design(*design)
     y = zero_responses(y, zeros)
     fast, ref = GramSystem.from_design(KERNELS[J], x, y), from_moments(KERNELS[J], x, y)
     assert fast.G.tobytes() == ref.G.tobytes()
     assert fast.b.tobytes() == ref.b.tobytes()
-    assert fast.yy == ref.yy
     if zeros == "all":
-        assert not fast.b.any() and fast.yy == 0.0
+        assert not fast.b.any()
 
 
 @pytest.mark.parametrize("chunk", [256, 512, 768, 4096])
@@ -518,7 +490,7 @@ def test_gram_system_is_frozen_and_validated():
     system = gram_system(x, y, model)
     modes = model.eigenvalues.size
     assert system.G.shape == (modes, modes) and system.b.shape == (modes,)
-    assert (system.yy, system.n) == (14.0, 3)
+    assert system.n == 3
     assert np.array_equal(system.G, system.G.T)
     B = factor(x, model)
     assert rel(system.G, B.T @ B) <= 1e-14 and rel(system.b, B.T @ y) <= 1e-14
@@ -526,19 +498,17 @@ def test_gram_system_is_frozen_and_validated():
         system.G[0, 0] = 1.0
     # A caller's arrays are copied and stay writable; copy=False freezes them.
     G, b = np.eye(2), np.ones(2)
-    copied = GramSystem(G=G, b=b, yy=1.0, n=2)
+    copied = GramSystem(G=G, b=b, n=2)
     assert not np.shares_memory(copied.G, G) and not np.shares_memory(copied.b, b)
     assert G.flags.writeable and b.flags.writeable
-    kept = GramSystem(G=G, b=b, yy=1.0, n=2, copy=False)
+    kept = GramSystem(G=G, b=b, n=2, copy=False)
     assert kept.G is G and np.shares_memory(kept.b, b)
     assert not G.flags.writeable and not kept.b.flags.writeable
     for args in ((x, np.ones(4)), ([], [])):
         with pytest.raises(InvalidInput):
             GramSystem.from_design(model.kernel, *args)
     with pytest.raises(InvalidInput):
-        GramSystem(G=np.eye(3), b=np.ones(2), yy=1.0, n=5)
-    with pytest.raises(InvalidInput):
-        gram_fit(system, mode="plain")
+        GramSystem(G=np.eye(3), b=np.ones(2), n=5)
     with pytest.raises(InvalidInput):
         gram_fit(system, max_iter=-1)
     assert gram_fit(system, max_iter=10).m_last <= 3
@@ -546,23 +516,12 @@ def test_gram_system_is_frozen_and_validated():
         lanczos_paths(system, [0.0])
 
 
-@pytest.mark.parametrize(
-    "yy, n, message",
-    [
-        (np.nan, 2, "yy must be finite and nonnegative"),
-        (np.inf, 2, "yy must be finite and nonnegative"),
-        (-5.0, 2, "yy must be finite and nonnegative"),
-        (1.0, 2.5, "n must be a positive integer"),
-        (1.0, True, "n must be a positive integer"),
-        (1.0, 0, "n must be a positive integer"),
-    ],
-)
-def test_gram_system_rejects_malformed_numbers(yy, n, message):
-    # yy=nan used to give a euclidean trace of NaN residuals, yy=-5.0 a
-    # residual of 0.0 at m = 0, and n=2.5 or n=True was stored.
-    with pytest.raises(InvalidInput, match=message):
-        GramSystem(G=np.eye(2), b=np.ones(2), yy=yy, n=n)
-    assert GramSystem(G=np.eye(2), b=np.ones(2), yy=0.0, n=np.int64(2)).n == 2
+@pytest.mark.parametrize("n", [2.5, True, 0])
+def test_gram_system_rejects_malformed_numbers(n):
+    # n=2.5 or n=True used to be stored.
+    with pytest.raises(InvalidInput, match="n must be a positive integer"):
+        GramSystem(G=np.eye(2), b=np.ones(2), n=n)
+    assert GramSystem(G=np.eye(2), b=np.ones(2), n=np.int64(2)).n == 2
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from kernelcg import (
     draw_sample,
     error_norm,
     eval_target,
-    gram_fit,
     holdout_select,
     lanczos_paths,
     make_model,
@@ -42,6 +41,7 @@ from kernelcg.harness import (
     compare_solvers,
     config_hash,
     derive_seed,
+    draw_replicate,
     fit_loglog_slope,
     fit_replicate,
     render_report,
@@ -50,7 +50,7 @@ from kernelcg.harness import (
     _median,
     _quantile,
 )
-from reference import dense
+from reference import dense, plain_cg
 
 REDUCED_INNER = (
     Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "inner_r1_s05.reduced.json"
@@ -536,16 +536,18 @@ class TestFitReplicate:
 class TestCompareSolvers:
     def test_euclidean_run_matches_a_full_budget_reference(self):
         """The plain-residual iterates come from the replicate's Lanczos run
-        and are searched up to the first match. Over a full-budget
-        ``gram_fit`` run, searched afterwards, the same iterate is picked, and
-        its error agrees to rounding: the two reach it by different arithmetic."""
+        and are searched up to the first match. Over a full-budget plain-CG
+        run (``reference.plain_cg``), searched afterwards, the same iterate is
+        picked, and its error agrees to rounding: the two reach it by
+        different arithmetic."""
         cfg = ExperimentConfig.from_dict(json.loads(REDUCED_INNER.read_text()))
         cfg = replace(cfg, master_seed=3)
         model = cfg.model()
         report = compare_solvers(cfg)
         for rec in report.records:
             fit = fit_replicate(cfg, rec.n, rec.rep)
-            euclid = gram_fit(fit.system, max_iter=COMPARE_MAX_ITER, mode="euclidean")
+            y = draw_replicate(cfg, rec.n, rec.rep).Y
+            euclid = plain_cg(fit.system, float(y @ y), COMPARE_MAX_ITER)
             scale = np.sqrt(model.eigenvalues / fit.system.n)
             errs = [
                 spectral_error(scale * c, model, 0.0) ** 2 for c in euclid.alphas

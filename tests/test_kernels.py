@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import GramSystem, InvalidInput, KernelMatrix, MercerKernel
+from kernelcg import (
+    GramSystem,
+    InvalidInput,
+    KernelMatrix,
+    MercerKernel,
+    estimator_spectrum,
+    make_model,
+)
 from kernelcg.kernels import COSINE_BLOCK_ROWS, SERIES_FEW_ROWS, SERIES_TILE_ROWS
 from reference import dense, quad
 
@@ -27,8 +34,11 @@ class TestKernelSpecs:
     def test_mercer_rejects_nan_decay_and_fractional_truncation(self):
         with pytest.raises(InvalidInput):
             MercerKernel(decay_exponent=float("nan"), truncation=10)
-        with pytest.raises(InvalidInput):
-            MercerKernel(decay_exponent=2.0, truncation=2.5)
+        # inf used to raise a bare OverflowError, NaN a bare ValueError and
+        # None a bare TypeError.
+        for truncation in (2.5, np.inf, -np.inf, np.nan, None):
+            with pytest.raises(InvalidInput, match="truncation must be a positive integer"):
+                MercerKernel(decay_exponent=2.0, truncation=truncation)
 
     def test_integral_float_truncation_becomes_int(self):
         kernel = MercerKernel(decay_exponent=2.0, truncation=10.0)
@@ -328,10 +338,19 @@ class TestSeries:
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
 def test_series_and_gram_system_refuse_points_outside_the_unit_interval(bad):
     # A NaN point used to make the Gram system all NaN, so the run failed
-    # later as a NumericalFailure instead of as invalid input.
-    kernel = MercerKernel(2.0, 10)
+    # later as a NumericalFailure instead of as invalid input. The basis, and
+    # so gram and estimator_spectrum, used to give NaN entries for a NaN
+    # point and finite ones for a point outside [0, 1].
+    model = make_model(s=0.5, r=1.0, rho=1.0, truncation=10)
+    kernel = model.kernel
     x = np.array([0.0, 0.5, bad, 1.0])
-    with pytest.raises(InvalidInput, match=r"points must lie in \[0, 1\]"):
-        kernel.series(x, np.ones(11))
-    with pytest.raises(InvalidInput, match=r"points must lie in \[0, 1\]"):
-        GramSystem.from_design(kernel, x, np.ones(4))
+    calls = (
+        lambda: kernel.series(x, np.ones(11)),
+        lambda: GramSystem.from_design(kernel, x, np.ones(4)),
+        lambda: kernel.basis(x),
+        lambda: kernel.gram([0.5], x),
+        lambda: estimator_spectrum(np.ones(4), x, model),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInput, match=r"points must lie in \[0, 1\]"):
+            call()

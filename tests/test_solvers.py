@@ -170,29 +170,26 @@ class TestTraceInvariants:
 
     def test_stop_at_zero_records_only_the_start(self):
         K, y = random_psd_system(17, 8)
-        seen = []
         _, system = gram_of(K, y)
-        trace = gram_fit(system, stop=lambda m, res, c: seen.append(m) or True)
-        assert seen == [0]
+        start = gram_fit(system, max_iter=0).residual_norms[0]
+        trace = gram_fit(system, omega=np.nextafter(start, np.inf))
         assert trace.m_last == 0
         assert trace.alphas.shape == (1, 8)
         assert trace.breakdown_at is None
 
-    @pytest.mark.parametrize("mode", ["kn_norm", "euclidean"])
-    def test_stop_sees_every_recorded_iterate(self, mode):
+    def test_stop_at_the_first_residual_below_omega(self):
+        # The stop is strict: a residual equal to omega runs on. A stopped
+        # trace is the full run cut at its stop, bit for bit.
         K, y = random_psd_system(19, 8)
-        seen = []
-
-        def stop(m, res, c):
-            seen.append((m, res, c.copy()))
-            return m == 5
-
         _, system = gram_of(K, y)
-        trace = gram_fit(system, mode=mode, stop=stop)
-        assert trace.m_last == 5
-        assert [m for m, _, _ in seen] == list(range(6))
-        assert [res for _, res, _ in seen] == trace.residual_norms
-        assert np.array_equal([c for _, _, c in seen], trace.alphas)
+        full = gram_fit(system)
+        assert full.m_last > 6
+        for omega in (np.nextafter(full.residual_norms[5], np.inf), full.residual_norms[4]):
+            trace = gram_fit(system, omega=omega)
+            assert trace.m_last == 5
+            assert trace.breakdown_at is None
+            assert np.array_equal(trace.alphas, full.alphas[:6])
+            assert trace.residual_norms == full.residual_norms[:6]
 
     def test_determinism_bit_identical(self):
         K, y = random_psd_system(13, 8)
@@ -205,7 +202,7 @@ class TestTraceInvariants:
 def gram_of(K: KernelMatrix, y) -> tuple[np.ndarray, GramSystem]:
     """A factor B of the dense matrix (K = B B.T) and its Gram system."""
     B = np.linalg.cholesky(K.entries)
-    return B, GramSystem(G=B.T @ B, b=B.T @ y, yy=float(y @ y), n=K.n)
+    return B, GramSystem(G=B.T @ B, b=B.T @ y, n=K.n)
 
 
 class TestRidge:

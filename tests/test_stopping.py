@@ -228,6 +228,16 @@ class TestThresholdCalibrated:
             ("r", 0.0, "r must be positive"),
             ("s", 1.0, "s must lie in"),
             ("rho", -1.0, "rho must be positive"),
+            # Infinite floats and an n that is not a whole number used to give
+            # omega = inf or NaN, or 0.0 flagged admissible (n = inf).
+            ("M", np.inf, "M must be positive and finite"),
+            ("kappa", np.inf, "kappa must be positive and finite"),
+            ("D", np.inf, "D must be at least 1 and finite"),
+            ("r", np.inf, "r must be positive and finite"),
+            ("rho", np.inf, "rho must be positive and finite"),
+            ("n", 2.5, "n must be a positive integer"),
+            ("n", True, "n must be a positive integer"),
+            ("n", np.inf, "n must be a positive integer"),
         ],
     )
     def test_params_reject_out_of_range_values(self, field, value, message):

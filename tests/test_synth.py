@@ -75,6 +75,9 @@ class TestMakeModel:
                 noise(M=math.inf)
         with pytest.raises(InvalidInput):
             make_model(s=0.5, r=1.0, rho=1.0, truncation=5)
+        # An infinite truncation used to raise a bare OverflowError.
+        with pytest.raises(InvalidInput, match="truncation"):
+            make_model(s=0.5, r=1.0, rho=1.0, truncation=math.inf)
         with pytest.raises(InvalidInput):
             small_model(u_profile="mystery")
 
@@ -192,11 +195,14 @@ class TestDrawSample:
         with pytest.raises(InvalidInput):
             draw_sample(small_model(), 0)
 
-    @pytest.mark.parametrize("n", [2.5, True, "8", -3])
+    @pytest.mark.parametrize("n", [2.5, True, "8", -3, math.inf])
     def test_rejects_n_that_is_not_a_positive_integer(self, n):
-        # 2.5 and True used to reach numpy as a TypeError.
-        with pytest.raises(InvalidInput, match="n must be a positive integer"):
-            draw_sample(small_model(), n)
+        # 2.5 and True used to reach numpy as a TypeError. padded_total used
+        # to take 2.5 and True, and to raise a bare TypeError on "8" and -3 (a
+        # complex power) and a bare OverflowError on inf.
+        for call in (lambda: draw_sample(small_model(), n), lambda: padded_total(n, 0.25, 0.5)):
+            with pytest.raises(InvalidInput, match="n must be a positive integer"):
+                call()
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
