@@ -156,8 +156,8 @@ def _cmd_fit(args, cfg: ExperimentConfig) -> int:
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
         "seed": fit.seed,
-        "n": int(fit.n),
-        "m_hat": int(fit.m_hat),
+        "n": fit.n,
+        "m_hat": fit.m_hat,
         "omega": fit.omega,
         "residual_norms": [float(v) for v in fit.trace.residual_norms],
         "errors": errors,
@@ -183,7 +183,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
         "model": model_to_dict(cfg.model()),
-        "n": int(n0),
+        "n": n0,
         "samples": samples,
         "seed_manifest": manifest,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, finite_number
 from .synth import MercerModel
 
 #: Resolution floor for squared spectral distances: the solver's iterate
@@ -122,8 +122,7 @@ def effective_dimension(
     index ``tail_from``, the neglected mass is bounded by the integral of
     1 / (1 + lam * t**tail_decay) from tail_from to infinity (``_tail_integral``).
     """
-    if not 0 < lam < math.inf:
-        raise InvalidInput(f"lambda must be positive and finite, got {lam}")
+    lam = finite_number("lambda", lam)
     xi = np.asarray(eigenvalues, dtype=float).ravel()
     if xi.size == 0:
         raise InvalidInput("eigenvalues must be non-empty")
@@ -138,7 +137,7 @@ def effective_dimension(
             raise InvalidInput(f"tail_from must be positive, got {tail_from}")
         if not 1 < tail_decay < math.inf:
             raise InvalidInput(f"tail_decay must exceed 1 and be finite, got {tail_decay}")
-        tail = _tail_integral(float(tail_decay), float(lam), float(tail_from))
+        tail = _tail_integral(float(tail_decay), lam, float(tail_from))
     return EffectiveDimension(truncated_sum=truncated, tail_bound=float(tail))
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, finite_number, whole_number
 from .evaluation import ERROR_FLOOR, spectral_error
 from .kernels import GramSystem
 from .solvers import CgTrace, gram_fit, lanczos_paths
@@ -92,7 +92,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name, (path, read) in _READERS.items():
-            object.__setattr__(self, name, _field(path, read, getattr(self, name)))
+            object.__setattr__(self, name, _field(path, partial(read, path), getattr(self, name)))
         if not isinstance(self.noise, NoiseSpec):
             raise InvalidInput(
                 f"config field 'model.noise' is invalid ({self.noise!r}): not a noise spec"
@@ -273,18 +273,8 @@ def _field(name: str, convert, value):
         raise InvalidInput(f"config field {name!r} is invalid ({value!r}): {exc}") from exc
 
 
-def _integer(value) -> int:
-    """A whole JSON number as an int; booleans, strings and fractions are refused."""
-    if isinstance(value, (bool, str)) or int(value) != value:
-        raise ValueError("not a whole number")
-    return int(value)
-
-
-def _finite(value) -> float:
-    """A JSON number as a float; booleans, strings, Infinity and NaN are refused."""
-    if isinstance(value, (bool, str)) or not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return float(value)
+#: A finite JSON number as a float; the range checks come after the read.
+_real = partial(finite_number, positive=False)
 
 
 def noise_from_dict(d: dict) -> NoiseSpec:
@@ -294,23 +284,24 @@ def noise_from_dict(d: dict) -> NoiseSpec:
     if kind not in law:
         raise InvalidInput(f"unknown noise kind {kind!r}")
     _check_keys(d, "model.noise", {"kind", "M"}, set())
-    return law[kind](M=_finite(d["M"]))
+    return law[kind](M=_real("M", d["M"]))
 
 
-#: JSON path and reader of each field that holds numbers, in field order.
+#: JSON path and reader ``read(path, value)`` of each field that holds numbers,
+#: in field order. Integers come without a bound: the range checks follow.
 _READERS = dict(
-    s=("model.s", _finite),
-    r=("model.r", _finite),
-    rho=("model.rho", _finite),
-    J=("model.J", _integer),
-    n_grid=("n_grid", lambda v: tuple(map(_integer, v))),
-    replicates=("replicates", _integer),
-    gamma=("gamma", _finite),
-    tau_prime=("tau_prime", _finite),
-    theta_list=("theta_list", lambda v: tuple(map(_finite, v))),
-    master_seed=("master_seed", _integer),
-    holdout_fraction=("stopping.fraction", lambda v: None if v is None else _finite(v)),
-    u_profile=("model.u_profile", lambda v: v if v == "inverse_index" else _integer(v)),
+    s=("model.s", _real),
+    r=("model.r", _real),
+    rho=("model.rho", _real),
+    J=("model.J", whole_number),
+    n_grid=("n_grid", lambda p, v: tuple(whole_number(p, x) for x in v)),
+    replicates=("replicates", whole_number),
+    gamma=("gamma", _real),
+    tau_prime=("tau_prime", _real),
+    theta_list=("theta_list", lambda p, v: tuple(_real(p, x) for x in v)),
+    master_seed=("master_seed", whole_number),
+    holdout_fraction=("stopping.fraction", lambda p, v: None if v is None else _real(p, v)),
+    u_profile=("model.u_profile", lambda p, v: v if v == "inverse_index" else whole_number(p, v)),
 )
 
 
@@ -325,7 +316,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def derive_seed(master_seed: int, n: int, rep: int) -> int:
-    """Per-replicate seed: first 8 bytes of sha256 over 'master:n:rep'."""
+    """Per-replicate seed: first 8 bytes of sha256 over 'master:n:rep', each read as
+    an integer first (``whole_number``; n >= 1, rep >= 0), so rep=1.0 is rep 1."""
+    master_seed = whole_number("master_seed", master_seed)
+    n, rep = whole_number("n", n, 1), whole_number("rep", rep, 0)
     digest = hashlib.sha256(f"{master_seed}:{n}:{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -478,6 +472,7 @@ def fit_replicate(cfg: ExperimentConfig, n: int, rep: int) -> ReplicateFit:
     InvalidInput when the hold-out split leaves no training data at this
     ``n``, and NumericalFailure from the solver.
     """
+    n, rep = whole_number("n", n, 1), whole_number("rep", rep, 0)
     model = cfg.model()
     sample = draw_replicate(cfg, n, rep)
     if cfg.regime == "outer":

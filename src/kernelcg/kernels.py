@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInput
+from .errors import InvalidInput, whole_number
 
 
 #: Design points per block of ``_cosine_blocks``. The size is fixed, so sums
@@ -115,15 +115,7 @@ class MercerKernel:
             raise InvalidInput(
                 f"decay_exponent must exceed 1, got {self.decay_exponent}"
             )
-        try:
-            whole = int(self.truncation) == self.truncation
-        except (OverflowError, TypeError, ValueError):  # inf, None, NaN
-            whole = False
-        if not whole or self.truncation < 1:
-            raise InvalidInput(
-                f"truncation must be a positive integer, got {self.truncation}"
-            )
-        object.__setattr__(self, "truncation", int(self.truncation))
+        object.__setattr__(self, "truncation", whole_number("truncation", self.truncation, 1))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue sequence aligned with the columns of ``basis``."""
@@ -239,8 +231,7 @@ class GramSystem:
             raise InvalidInput(
                 f"G must be square with one row per entry of b, got {G.shape} and {b.size}"
             )
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", whole_number("n", self.n, 1))
         G.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "G", G)
@@ -322,6 +313,7 @@ class KernelMatrix:
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInput(f"entries must be square, got shape {entries.shape}")
+        object.__setattr__(self, "n", whole_number("n", self.n, 1))
         if entries.shape[0] != self.n:
             raise InvalidInput(
                 f"n={self.n} does not match entries shape {entries.shape}"

@@ -36,7 +36,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, whole_number
 from .kernels import GramSystem, KernelMatrix
 
 Mode = Literal["kn_norm", "euclidean"]
@@ -96,20 +96,6 @@ def _check_system(K: KernelMatrix, Y) -> np.ndarray:
     return y
 
 
-def _count(name: str, value) -> int:
-    """A nonnegative whole number as an int, read as config integers are read:
-    whole floats pass; booleans, strings, fractions, NaN and infinities do not."""
-    try:
-        whole = not isinstance(value, (bool, str)) and int(value) == value
-    except (OverflowError, TypeError, ValueError):
-        whole = False
-    if not whole:
-        raise InvalidInput(f"{name} must be a whole number, got {value!r}")
-    if value < 0:
-        raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
-    return int(value)
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("kn_norm", "euclidean"):
         raise InvalidInput(f"mode must be 'kn_norm' or 'euclidean', got {mode!r}")
@@ -151,7 +137,7 @@ def _recursion(matvec, y, n, max_iter, power, omega=None) -> CgTrace:
     sqrt(<r, r>). ``max_iter`` is capped at n. With ``omega`` the run ends at
     the first recorded residual norm below it, iterate 0 included.
     """
-    max_iter = n if max_iter is None else min(_count("max_iter", max_iter), n)
+    max_iter = n if max_iter is None else min(whole_number("max_iter", max_iter, 0), n)
 
     x = np.zeros(y.size)
     r, d = y.copy(), y.copy()
@@ -273,7 +259,7 @@ def krylov_oracle(K: KernelMatrix, Y, m: int, mode: Mode = "kn_norm") -> np.ndar
     _check_mode(mode)
     y = _check_system(K, Y)
     n = K.n
-    m = _count("m", m)
+    m = whole_number("m", m, 0)
     if m == 0 or not np.any(y):
         return np.zeros(n)
 
@@ -352,7 +338,7 @@ def lanczos_paths(system: GramSystem, lams, pls_iter: int = 0) -> tuple[np.ndarr
         raise InvalidInput(f"lams must be a 1-D grid of penalties, got shape {grid.shape}")
     if not np.all((grid > 0) & (grid < np.inf)):
         raise InvalidInput(f"penalties must be positive and finite, got {grid.tolist()}")
-    pls_iter = _count("pls_iter", pls_iter)
+    pls_iter = whole_number("pls_iter", pls_iter, 0)
     G, b = system.G, system.b
     modes, norm_b = b.size, math.sqrt(b @ b)
     if norm_b == 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotReached
+from .errors import InvalidInput, NotReached, finite_number, whole_number
 from .solvers import CgTrace
 
 
@@ -58,25 +58,18 @@ class ThresholdParams:
     rho: float | None = None
 
     def __post_init__(self):
-        # Each float must be finite; NaN fails every comparison.
-        if not 0 < self.M < math.inf:
-            raise InvalidInput(f"M must be positive and finite, got {self.M}")
-        if not 0 < self.kappa < math.inf:
-            raise InvalidInput(f"kappa must be positive and finite, got {self.kappa}")
+        for name in ("M", "kappa", "r", "tau_prime"):
+            finite_number(name, getattr(self, name))
+        if self.rho is not None:
+            finite_number("rho", self.rho)
+        # NaN fails every comparison.
         if not 1 <= self.D < math.inf:
             raise InvalidInput(f"D must be at least 1 and finite, got {self.D}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", whole_number("n", self.n, 1))
         if not 0 < self.gamma < 1:
             raise InvalidInput(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 < self.r < math.inf:
-            raise InvalidInput(f"r must be positive and finite, got {self.r}")
         if not 0 < self.s < 1:
             raise InvalidInput(f"s must lie in (0, 1), got {self.s}")
-        if self.rho is not None and not 0 < self.rho < math.inf:
-            raise InvalidInput(f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.tau_prime < math.inf:
-            raise InvalidInput(f"tau_prime must be positive and finite, got {self.tau_prime}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +192,7 @@ def threshold_calibrated(
         It, sigma and trace_k must be positive and finite.
     """
     for name, value in (("sigma", sigma), ("trace_k", trace_k), ("n_ref", n_ref)):
-        if not 0 < value < math.inf:
-            raise InvalidInput(f"{name} must be positive and finite, got {value}")
+        finite_number(name, value)
     tau_floor = TAU_PRIME_FLOOR_INNER if p.r >= 0.5 else TAU_PRIME_FLOOR_OUTER
     excess = (1.0 - p.s) / (2.0 * (2.0 * p.r + p.s))
     floor_n = sigma * math.sqrt(trace_k / p.n)

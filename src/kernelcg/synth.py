@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, finite_number, whole_number
 from .kernels import MercerKernel
 
 #: Bit generator used for every sample draw, recorded in serialized output.
@@ -36,8 +36,7 @@ class UniformBounded:
     M: float
 
     def __post_init__(self):
-        if not 0 < self.M < math.inf:
-            raise InvalidInput(f"noise bound M must be positive and finite, got {self.M}")
+        finite_number("noise bound M", self.M)
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class GaussianBernstein:
     M: float
 
     def __post_init__(self):
-        if not 0 < self.M < math.inf:
-            raise InvalidInput(f"noise bound M must be positive and finite, got {self.M}")
+        finite_number("noise bound M", self.M)
 
 
 NoiseSpec = Union[UniformBounded, GaussianBernstein]
@@ -194,10 +192,9 @@ def make_model(
     """
     if not 0 < s < 1:
         raise InvalidInput(f"s must lie in (0, 1), got {s}")
-    if not 0 < r < math.inf:
-        raise InvalidInput(f"r must be positive and finite, got {r}")
-    if not 0 < rho < math.inf:
-        raise InvalidInput(f"rho must be positive and finite, got {rho}")
+    finite_number("r", r)
+    finite_number("rho", rho)
+    truncation = whole_number("truncation", truncation)
     if truncation < 10:
         raise InvalidInput(f"truncation must be at least 10, got {truncation}")
     if noise is None:
@@ -207,20 +204,15 @@ def make_model(
     xi = kernel.eigenvalues()
     kappa = kernel.kappa_bound
 
-    if u_profile == "inverse_index":
+    if isinstance(u_profile, str) and u_profile == "inverse_index":
         j = np.arange(1, truncation + 1, dtype=float)
         weights = np.concatenate(([1.0], 1.0 / j))
-    elif isinstance(u_profile, int) and not isinstance(u_profile, bool):
-        if not 0 <= u_profile < xi.size:
-            raise InvalidInput(
-                f"one-hot mode index {u_profile} outside [0, {xi.size})"
-            )
-        weights = np.zeros(xi.size)
-        weights[u_profile] = 1.0
     else:
-        raise InvalidInput(
-            f"u_profile must be 'inverse_index' or a mode index, got {u_profile!r}"
-        )
+        index = whole_number("u_profile other than 'inverse_index'", u_profile)
+        if not 0 <= index < xi.size:
+            raise InvalidInput(f"one-hot mode index {index} outside [0, {xi.size})")
+        weights = np.zeros(xi.size)
+        weights[index] = 1.0
 
     target_norm = kappa ** (-r) * rho
     u = weights * (target_norm / float(np.linalg.norm(weights)))
@@ -256,8 +248,7 @@ def padded_total(n: int, r: float, s: float) -> int:
 
     Raises InvalidInput unless n is a positive integer.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    n = whole_number("n", n, 1)
     return max(n, math.ceil(n ** ((1.0 + s) / (2.0 * r + s))))
 
 
@@ -270,10 +261,8 @@ def draw_sample(
     points (when requested), then noise. The generator is counter-based, so
     any nonnegative integer seed reproduces the sample bit-exactly.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
+    n = whole_number("n", n, 1)
+    seed = whole_number("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
 
     x = rng.random(n)
@@ -300,7 +289,7 @@ def draw_sample(
         Y=y,
         X_unlabeled=x_extra,
         Y_padded=y_padded,
-        seed=int(seed),
+        seed=seed,
         model_ref=model.identifier(),
     )
 

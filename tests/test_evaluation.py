@@ -303,9 +303,10 @@ class TestEffectiveDimension:
             effective_dimension([1.0], 1.0, tail_decay=2.0)
 
     @pytest.mark.parametrize("tail", [None, 2.0], ids=["no_tail", "tail"])
-    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, "1"])
     def test_rejects_non_finite_lambda(self, lam, tail):
-        # inf used to return 0.0 without a tail and raise ZeroDivisionError with one.
+        # inf used to return 0.0 without a tail and raise ZeroDivisionError with
+        # one; "1" was a bare TypeError.
         with pytest.raises(InvalidInput, match="lambda must be positive and finite"):
             effective_dimension([1.0, 0.5], lam, tail_decay=tail, tail_from=3)
 

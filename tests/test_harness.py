@@ -277,6 +277,20 @@ class TestDeriveSeed:
         seeds = {derive_seed(1, n, rep) for n in (32, 64) for rep in range(10)}
         assert len(seeds) == 20
 
+    def test_whole_float_rep_names_the_same_replicate_and_others_are_refused(self):
+        # rep=1.0 used to hash as "...:1.0" and draw another replicate's seed;
+        # True, -1 and 2.5 were hashed without complaint.
+        cfg = inner_config()
+        one, whole = fit_replicate(cfg, 32, 1), fit_replicate(cfg, 32, 1.0)
+        assert whole.rep == 1 and whole.seed == one.seed == derive_seed(cfg.master_seed, 32, 1)
+        assert np.array_equal(draw_replicate(cfg, 32, 1.0).Y, draw_replicate(cfg, 32, 1).Y)
+        assert np.array_equal(whole.spectrum, one.spectrum)
+        assert derive_seed(11.0, 64.0, 3.0) == derive_seed(11, 64, 3)
+        for rep in (True, -1, 2.5, "1"):
+            for call in (fit_replicate, draw_replicate):
+                with pytest.raises(InvalidInput, match="rep must be"):
+                    call(cfg, 32, rep)
+
 
 class TestFitLoglogSlope:
     def test_exact_power_law(self):

@@ -127,8 +127,12 @@ class TestOperatorBuild:
             (np.zeros((2, 3)), 2, "must be square"),
             (np.zeros(4), 4, "must be square"),
             (np.eye(3), 4, "does not match"),
+            # True used to be stored as n, as was a whole float such as 3.0, on
+            # which cg_fit raised a bare TypeError.
+            (np.eye(3), 2.5, "n must be a positive integer"),
+            (np.eye(1), True, "n must be a positive integer"),
         ],
-        ids=["rectangular", "vector", "size_mismatch"],
+        ids=["rectangular", "vector", "size_mismatch", "fractional_n", "bool_n"],
     )
     def test_kernel_matrix_rejects_misshaped_entries(self, entries, n, message):
         with pytest.raises(InvalidInput, match=message):

@@ -203,9 +203,9 @@ class TestThresholdCalibrated:
             threshold_calibrated(p, sigma=1.0, trace_k=-1.0, n_ref=10.0)
 
     @pytest.mark.parametrize("name", ["sigma", "trace_k", "n_ref"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, None])
     def test_rejects_non_finite_scale_inputs(self, name, value):
-        # inf used to give an infinite omega, NaN a NaN one.
+        # inf used to give an infinite omega, NaN a NaN one; None was a bare TypeError.
         scales = dict(sigma=1.0, trace_k=1.0, n_ref=10.0)
         scales[name] = value
         with pytest.raises(InvalidInput, match=f"{name} must be positive and finite"):
@@ -238,6 +238,9 @@ class TestThresholdCalibrated:
             ("n", 2.5, "n must be a positive integer"),
             ("n", True, "n must be a positive integer"),
             ("n", np.inf, "n must be a positive integer"),
+            # "1" used to be a bare TypeError, and True was read as 1.
+            ("M", "1", "M must be positive and finite"),
+            ("M", True, "M must be positive and finite"),
         ],
     )
     def test_params_reject_out_of_range_values(self, field, value, message):

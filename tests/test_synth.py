@@ -70,14 +70,23 @@ class TestMakeModel:
             make_model(s=0.5, r=math.inf, rho=1.0)
         with pytest.raises(InvalidInput, match="finite"):
             make_model(s=0.5, r=1.0, rho=math.inf, noise=GaussianBernstein(1.0))
+        # make_model's r=None and a noise law's M=None used to be a bare
+        # TypeError; M=True was read as 1.
+        with pytest.raises(InvalidInput, match="r must be positive and finite"):
+            make_model(0.5, None, 1.0, 20)
         for noise in (UniformBounded, GaussianBernstein):
-            with pytest.raises(InvalidInput, match="finite"):
-                noise(M=math.inf)
+            for M in (math.inf, None, True):
+                with pytest.raises(InvalidInput, match="finite"):
+                    noise(M=M)
         with pytest.raises(InvalidInput):
             make_model(s=0.5, r=1.0, rho=1.0, truncation=5)
         # An infinite truncation used to raise a bare OverflowError.
         with pytest.raises(InvalidInput, match="truncation"):
             make_model(s=0.5, r=1.0, rho=1.0, truncation=math.inf)
+        # None and "12" used to be a bare TypeError from `truncation < 10`.
+        for truncation in (None, "12", 2.5, True):
+            with pytest.raises(InvalidInput, match="truncation must be an integer"):
+                make_model(s=0.5, r=1.0, rho=1.0, truncation=truncation)
         with pytest.raises(InvalidInput):
             small_model(u_profile="mystery")
 
